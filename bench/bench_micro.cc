@@ -101,95 +101,6 @@ void BM_SparseFromPairs(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseFromPairs)->Arg(128)->Arg(1024);
 
-// --- Reference kernels: the pre-CSR scalar implementations, kept
-// bench-local so the kernel-ratio metrics below always compare the shipped
-// kernels against exactly what they replaced (same inputs, same FP
-// semantics — ratios are pure codegen/layout, not algorithm changes).
-// noinline pins the call boundary: the originals lived in sparse_vector.cc
-// (a separate TU, no LTO) and were never inlined into call sites, so
-// letting the bench TU inline+specialize them would flatter the reference.
-
-__attribute__((noinline)) double RefDotSparse(const SparseVector& a,
-                                              const SparseVector& b) {
-  double sum = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.num_nonzero() && j < b.num_nonzero()) {
-    if (a.index_at(i) < b.index_at(j)) {
-      ++i;
-    } else if (a.index_at(i) > b.index_at(j)) {
-      ++j;
-    } else {
-      sum += a.value_at(i) * b.value_at(j);
-      ++i;
-      ++j;
-    }
-  }
-  return sum;
-}
-
-__attribute__((noinline)) double RefDotDense(const SparseVector& a,
-                                             const std::vector<double>& dense) {
-  double sum = 0.0;
-  for (size_t i = 0; i < a.num_nonzero(); ++i) {
-    if (a.index_at(i) >= dense.size()) break;
-    sum += a.value_at(i) * dense[a.index_at(i)];
-  }
-  return sum;
-}
-
-__attribute__((noinline)) double RefSquaredDistance(const SparseVector& a,
-                                                    const SparseVector& b) {
-  double s = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.num_nonzero() || j < b.num_nonzero()) {
-    if (j >= b.num_nonzero() ||
-        (i < a.num_nonzero() && a.index_at(i) < b.index_at(j))) {
-      s += a.value_at(i) * a.value_at(i);
-      ++i;
-    } else if (i >= a.num_nonzero() || a.index_at(i) > b.index_at(j)) {
-      s += b.value_at(j) * b.value_at(j);
-      ++j;
-    } else {
-      double d = a.value_at(i) - b.value_at(j);
-      s += d * d;
-      ++i;
-      ++j;
-    }
-  }
-  return s;
-}
-
-void BM_RefSparseDotSparse(benchmark::State& state) {
-  // Same seeds/sizes as BM_SparseDotSparse: identical inputs.
-  const size_t nnz = static_cast<size_t>(state.range(0));
-  std::vector<SparseVector> as = RandomVectorPool(1, 8192, nnz);
-  std::vector<SparseVector> bs = RandomVectorPool(101, 8192, nnz);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) acc += RefDotSparse(as[p], bs[p]);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-BENCHMARK(BM_RefSparseDotSparse)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_RefSparseDotDense(benchmark::State& state) {
-  const size_t nnz = static_cast<size_t>(state.range(0));
-  std::vector<SparseVector> as = RandomVectorPool(2, 8192, nnz);
-  std::vector<double> dense(8192, 0.5);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) acc += RefDotDense(as[p], dense);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-BENCHMARK(BM_RefSparseDotDense)->Arg(32)->Arg(128)->Arg(512);
-
 void BM_SparseSquaredDistance(benchmark::State& state) {
   const size_t nnz = static_cast<size_t>(state.range(0));
   std::vector<SparseVector> as = RandomVectorPool(13, 8192, nnz);
@@ -205,22 +116,6 @@ void BM_SparseSquaredDistance(benchmark::State& state) {
                           static_cast<int64_t>(kSparsePool));
 }
 BENCHMARK(BM_SparseSquaredDistance)->Arg(128)->Arg(512);
-
-void BM_RefSparseSquaredDistance(benchmark::State& state) {
-  const size_t nnz = static_cast<size_t>(state.range(0));
-  std::vector<SparseVector> as = RandomVectorPool(13, 8192, nnz);
-  std::vector<SparseVector> bs = RandomVectorPool(113, 8192, nnz);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      acc += RefSquaredDistance(as[p], bs[p]);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-BENCHMARK(BM_RefSparseSquaredDistance)->Arg(128)->Arg(512);
 
 // --- Per-ISA kernel benches (runtime-registered) --------------------------
 //
@@ -244,24 +139,6 @@ void BM_SimdDotSparseSparse(benchmark::State& state,
       acc += k->dot_sparse_sparse(a.indices().data(), a.values().data(),
                                   a.num_nonzero(), b.indices().data(),
                                   b.values().data(), b.num_nonzero());
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
-void BM_SimdDotSparseDense(benchmark::State& state,
-                           const simd::SparseKernels* k, size_t nnz) {
-  std::vector<SparseVector> as = RandomVectorPool(2, 8192, nnz);
-  std::vector<double> dense(8192, 0.5);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = as[p];
-      // Indices are all < 8192 == dense.size(), so n needs no cutoff.
-      acc += k->dot_sparse_dense(a.indices().data(), a.values().data(),
-                                 a.num_nonzero(), dense.data());
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -365,16 +242,11 @@ constexpr struct {
   const char* metric;
 } kSimdKernelNames[] = {
     {"BM_SimdDotSparseSparse", "dot_sparse_sparse"},
-    {"BM_SimdDotSparseDense", "dot_sparse_dense"},
     {"BM_SimdAddScaledTo", "add_scaled_to"},
     {"BM_SimdSquaredDistance", "squared_distance"},
     {"BM_SimdRemapSparseView", "remap_sparse_view"},
 };
 constexpr size_t kSimdBenchNnz = 128;  // matches the wrapper benches' gates
-// Small-nnz sweep for the gathered sparse*dense dot: per-nnz walls locate
-// the crossover below which gather setup loses to the scalar loop — the
-// measurement behind kSimdMinEntriesDotSparseDense (EXPERIMENTS.md).
-constexpr size_t kDotSparseDenseSweep[] = {8, 16, 32, 64, 256, 512};
 
 void RegisterPerIsaKernelBenches() {
   for (simd::SimdLevel level : simd::AvailableLevels()) {
@@ -390,14 +262,6 @@ void RegisterPerIsaKernelBenches() {
     benchmark::RegisterBenchmark(
         name("BM_SimdDotSparseSparse", 512).c_str(), BM_SimdDotSparseSparse,
         k, size_t{512});
-    benchmark::RegisterBenchmark(
-        name("BM_SimdDotSparseDense", kSimdBenchNnz).c_str(),
-        BM_SimdDotSparseDense, k, kSimdBenchNnz);
-    for (size_t nnz : kDotSparseDenseSweep) {
-      benchmark::RegisterBenchmark(
-          name("BM_SimdDotSparseDense", nnz).c_str(), BM_SimdDotSparseDense,
-          k, nnz);
-    }
     benchmark::RegisterBenchmark(
         name("BM_SimdRemapSparseView", kSimdBenchNnz).c_str(),
         BM_SimdRemapSparseView, k, kSimdBenchNnz);
@@ -682,13 +546,7 @@ void ExportKernelRatios(const JsonExportReporter& console,
        {"ratio.vectorize_100", {"BM_Vectorize/100", "BM_VectorizeViews/100"}},
        {"ratio.vectorize_400", {"BM_Vectorize/400", "BM_VectorizeViews/400"}},
        {"ratio.vectorize_1600",
-        {"BM_Vectorize/1600", "BM_VectorizeViews/1600"}},
-       {"ratio.sparse_dot_sparse",
-        {"BM_RefSparseDotSparse/128", "BM_SparseDotSparse/128"}},
-       {"ratio.sparse_dot_dense",
-        {"BM_RefSparseDotDense/128", "BM_SparseDotDense/128"}},
-       {"ratio.sparse_squared_distance",
-        {"BM_RefSparseSquaredDistance/128", "BM_SparseSquaredDistance/128"}}};
+        {"BM_Vectorize/1600", "BM_VectorizeViews/1600"}}};
   for (const auto& [metric, pair] : kPairs) {
     const double old_wall = console.WallOf(pair.first);
     const double new_wall = console.WallOf(pair.second);
@@ -726,20 +584,6 @@ void ExportPerIsaKernelRatios(const JsonExportReporter& console,
     if (skew_scalar > 0.0 && skew_isa > 0.0) {
       reporter->AddMetric("ratio." + ln + ".dot_sparse_sparse_skew",
                           skew_scalar / skew_isa);
-    }
-    // The cutoff sweep: where does the gathered sparse*dense kernel cross
-    // scalar as rows shrink? Documented (not gated) in EXPERIMENTS.md.
-    for (size_t nnz : kDotSparseDenseSweep) {
-      const std::string suffix = "/" + std::to_string(nnz);
-      const double scalar_wall =
-          console.WallOf("BM_SimdDotSparseDense/scalar" + suffix);
-      const double isa_wall =
-          console.WallOf("BM_SimdDotSparseDense/" + ln + suffix);
-      if (scalar_wall > 0.0 && isa_wall > 0.0) {
-        reporter->AddMetric(
-            "ratio." + ln + ".dot_sparse_dense_nnz" + std::to_string(nnz),
-            scalar_wall / isa_wall);
-      }
     }
   }
 }

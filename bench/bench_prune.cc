@@ -33,8 +33,7 @@ namespace {
 /// same item count and wall times compare like for like. Evaluation is
 /// deliberately frequent (every 5 items over a corpus-half holdout) — the
 /// regime where the inner loop is holdout-kernel-bound and pruning pays.
-EngineOptions PruneBenchOptions(uint64_t seed, FeatureCache* cache,
-                                size_t eval_threads) {
+EngineOptions PruneBenchOptions(uint64_t seed, size_t eval_threads) {
   EngineOptions opts = BenchEngineOptions(seed);
   opts.holdout_size = 1000;
   opts.eval_every = 5;
@@ -43,7 +42,6 @@ EngineOptions PruneBenchOptions(uint64_t seed, FeatureCache* cache,
   opts.stop.max_items = 600;
   opts.stop.plateau_enabled = false;
   opts.stop.decline_enabled = false;
-  opts.feature_cache = cache;
   opts.holdout_eval_threads = eval_threads;
   return opts;
 }
@@ -51,8 +49,9 @@ EngineOptions PruneBenchOptions(uint64_t seed, FeatureCache* cache,
 RunResult RunArm(const Task& task, const GroupingResult& grouping,
                  uint64_t seed, FeatureCache* cache, size_t eval_threads,
                  const FeaturePrunerOptions* pruning_override) {
-  EngineOptions opts = PruneBenchOptions(seed, cache, eval_threads);
-  ZombieEngine engine(&task.corpus, &task.pipeline, opts);
+  EngineOptions opts = PruneBenchOptions(seed, eval_threads);
+  ExtractionService service(&task.pipeline, cache);
+  ZombieEngine engine(&task.corpus, &service, opts);
   EpsilonGreedyPolicy policy;
   NaiveBayesLearner nb;
   LabelReward reward;

@@ -20,6 +20,7 @@
 #include "bandit/epsilon_greedy.h"
 #include "data/corpus_source.h"
 #include "index/incremental_grouper.h"
+#include "index/kmeans_grouper.h"
 #include "ml/naive_bayes.h"
 #include "obs/obs.h"
 #include "util/logging.h"
@@ -31,12 +32,11 @@ namespace {
 /// Fixed-budget engine options: early stops off and max_items covering the
 /// whole corpus, so both arms run to exhaustion and compare like for like.
 EngineOptions StreamBenchOptions(const Task& task, uint64_t seed,
-                                 FeatureCache* cache, size_t eval_threads) {
+                                 size_t eval_threads) {
   EngineOptions opts = BenchEngineOptions(seed);
   opts.stop.max_items = task.corpus.size();
   opts.stop.plateau_enabled = false;
   opts.stop.decline_enabled = false;
-  opts.feature_cache = cache;
   opts.holdout_eval_threads = eval_threads;
   return opts;
 }
@@ -52,10 +52,11 @@ ArmOutcome RunArm(const Task& task, const GroupingResult& grouping,
                   uint64_t seed, FeatureCache* cache, size_t eval_threads,
                   const ScheduledCorpusSource* stream,
                   const IncrementalGrouper* igrouper) {
-  EngineOptions opts = StreamBenchOptions(task, seed, cache, eval_threads);
+  EngineOptions opts = StreamBenchOptions(task, seed, eval_threads);
   ObsContext obs;
   opts.obs = &obs;
-  ZombieEngine engine(&task.corpus, &task.pipeline, opts);
+  ExtractionService service(&task.pipeline, cache);
+  ZombieEngine engine(&task.corpus, &service, opts);
   EpsilonGreedyPolicy policy;
   NaiveBayesLearner nb;
   LabelReward reward;
@@ -125,11 +126,11 @@ void Run() {
   // A grouper prototype can be primed with GroupBase only once, so the
   // full-base (offline / drained) and 2/3-base (streaming) arms each get
   // their own instance of the same configuration.
-  IncrementalKMeansOptions kopts;
+  KMeansGrouperOptions kopts;
   kopts.num_groups = 32;
   kopts.seed = 7;
-  IncrementalKMeansGrouper igrouper_full(kopts);
-  IncrementalKMeansGrouper igrouper(kopts);
+  KMeansGrouper igrouper_full(kopts);
+  KMeansGrouper igrouper(kopts);
   GroupingResult offline_grouping =
       igrouper_full.GroupBase(task.corpus, task.corpus.size());
   GroupingResult stream_grouping = igrouper.GroupBase(task.corpus, base);

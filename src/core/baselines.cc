@@ -35,17 +35,9 @@ RunResult RunFixedSampleBaseline(const ZombieEngine& engine,
                                  size_t sample_size) {
   EngineOptions opts = FullScanOptions(engine.options());
   opts.stop.max_items = sample_size;
-  // Rebuild the engine with the tightened budget, keeping its extraction
-  // path: a borrowed service (shared cache/prefetch) carries over, a
-  // pipeline-pointer engine is rebuilt over the same pipeline.
-  if (engine.extraction_service() != nullptr) {
-    ZombieEngine budgeted(&engine.corpus(), engine.extraction_service(),
-                          opts);
-    RunResult r = RunRandomBaseline(budgeted, learner_prototype);
-    r.policy_name = "fixedsample";
-    return r;
-  }
-  ZombieEngine budgeted(&engine.corpus(), &engine.pipeline(), opts);
+  // Rebuild the engine with the tightened budget over the same extraction
+  // path (cache, store and prefetch carry over).
+  ZombieEngine budgeted(&engine.corpus(), engine.extraction_service(), opts);
   RunResult r = RunRandomBaseline(budgeted, learner_prototype);
   r.policy_name = "fixedsample";
   return r;

@@ -13,9 +13,7 @@
 
 namespace zombie {
 
-class FeatureCache;
 class ObsContext;
-class PersistentFeatureStore;
 
 /// When the inner loop ends. Rules combine with OR: the first satisfied
 /// rule stops the run. Exhausting the corpus always stops it.
@@ -76,28 +74,6 @@ struct EngineOptions {
   /// bandit then maximizes usefulness per unit *time* instead of per
   /// item — with heterogeneous item costs, cheap useful groups win.
   bool cost_aware_rewards = false;
-  /// Optional feature-extraction memo (borrowed, thread-safe, may be
-  /// shared across concurrent runs; must outlive every engine run using
-  /// it). When set, extraction is memoized keyed on the pipeline
-  /// fingerprint; the virtual clock is still charged full extraction cost
-  /// on a hit, so results are byte-identical with the cache on or off —
-  /// only wall-clock time changes (featureeng/feature_cache.h).
-  ///
-  /// Only meaningful for engines built over a raw pipeline pointer: the
-  /// engine wraps (pipeline, feature_cache, RunSpec::prefetch) in a
-  /// per-run ExtractionService. Engines built over a borrowed
-  /// ExtractionService — the session and experiment driver paths — carry
-  /// their cache inside the service, and this field must stay null there
-  /// (checked at engine construction).
-  FeatureCache* feature_cache = nullptr;
-  /// Optional persistent second cache tier behind `feature_cache`
-  /// (borrowed; featureeng/persistent_feature_store.h). Same as-if-no-store
-  /// accounting as the cache: a store hit only skips wall-clock extraction,
-  /// the virtual clock is still charged in full, so results are
-  /// byte-identical with the store disabled, cold, or warm. Subject to the
-  /// same raw-pipeline-engines-only rule as `feature_cache` (checked at
-  /// engine construction); usable with or without a memory cache in front.
-  PersistentFeatureStore* feature_store = nullptr;
   /// Optional observability sinks (borrowed, thread-safe; obs/obs.h). When
   /// set, the engine emits trace spans, metric series, and per-pull
   /// decision records into whichever sinks the context enables. Never

@@ -35,9 +35,12 @@ GroupingResult MakeSingleGroupGrouping(size_t corpus_size) {
 ZombieEngine::ZombieEngine(const Corpus* corpus,
                            const FeaturePipeline* pipeline,
                            EngineOptions options)
-    : corpus_(corpus), pipeline_(pipeline), options_(options) {
+    : corpus_(corpus),
+      owned_service_(std::make_unique<ExtractionService>(pipeline)),
+      service_(owned_service_.get()),
+      pipeline_(pipeline),
+      options_(options) {
   ZCHECK(corpus != nullptr);
-  ZCHECK(pipeline != nullptr);
   ZCHECK_OK(options.Validate());
   ZCHECK(!corpus->empty()) << "cannot run on an empty corpus";
 }
@@ -45,17 +48,11 @@ ZombieEngine::ZombieEngine(const Corpus* corpus,
 ZombieEngine::ZombieEngine(const Corpus* corpus, ExtractionService* service,
                            EngineOptions options)
     : corpus_(corpus),
-      pipeline_(service != nullptr ? &service->pipeline() : nullptr),
       service_(service),
+      pipeline_(service != nullptr ? &service->pipeline() : nullptr),
       options_(options) {
   ZCHECK(corpus != nullptr);
   ZCHECK(service != nullptr);
-  ZCHECK(options.feature_cache == nullptr)
-      << "with a borrowed ExtractionService the cache belongs to the "
-         "service, not EngineOptions";
-  ZCHECK(options.feature_store == nullptr)
-      << "with a borrowed ExtractionService the feature store belongs to "
-         "the service, not EngineOptions";
   ZCHECK_OK(options.Validate());
   ZCHECK(!corpus->empty()) << "cannot run on an empty corpus";
 }
@@ -129,21 +126,12 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   }
   TraceSpan run_span(tracer, "engine.run", "engine");
 
-  // All featurization goes through the ExtractionService facade: either
-  // the caller's shared service, or a transient per-run one wrapping
-  // (pipeline, EngineOptions::feature_cache, RunSpec::prefetch). The
+  // All featurization goes through the ExtractionService facade. The
   // service's memoization and speculation are wall-clock-only (see its
   // equivalence contract), so everything downstream — learner updates,
   // rewards, the virtual clock — is byte-identical whether extraction is
   // raw, cached, or prefetched.
   ExtractionService* service = service_;
-  std::unique_ptr<ExtractionService> run_service;
-  if (service == nullptr) {
-    run_service = std::make_unique<ExtractionService>(
-        pipeline_, options_.feature_cache, spec.prefetch, tracer,
-        options_.feature_store);
-    service = run_service.get();
-  }
   // Online feature pruning. Disabled (the default) constructs nothing and
   // every hook below is null-guarded, so the prune-off run is byte-for-byte
   // the pre-pruning engine. Enabled, the pruner observes training examples
@@ -637,12 +625,6 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
       stopped = true;
     }
   }
-
-  // Loop exit: pending speculation is now useless for this run. A per-run
-  // service is cancelled outright; a borrowed (shared) one is left alone —
-  // other runs may have speculation in flight, and its owner cancels at
-  // teardown.
-  if (run_service != nullptr) run_service->CancelPrefetch();
 
   // Final evaluation if the last item batch wasn't evaluated.
   if (result.curve.empty() ||

@@ -45,17 +45,15 @@ namespace zombie {
 class ZombieEngine {
  public:
   /// Both pointers are borrowed and must outlive the engine. Extraction
-  /// goes through a per-run ExtractionService built over `pipeline` and
-  /// EngineOptions::feature_cache (if any), honoring RunSpec::prefetch.
+  /// goes through a plain owned ExtractionService over `pipeline`: no
+  /// cache, no store, no prefetch.
   ZombieEngine(const Corpus* corpus, const FeaturePipeline* pipeline,
                EngineOptions options = {});
 
-  /// Extraction routed through a caller-owned service (shared cache policy
-  /// and speculation budget across runs — the session and experiment
-  /// driver use this). `service` is borrowed and must outlive the engine;
-  /// its prefetch configuration applies to every run, and
-  /// RunSpec::prefetch is ignored. EngineOptions::feature_cache must be
-  /// null here — the cache, if any, belongs to the service.
+  /// Extraction routed through a caller-owned service — the one way to
+  /// attach a cache, a persistent store or prefetch workers, shared across
+  /// runs (the session and experiment driver use this). `service` is
+  /// borrowed and must outlive the engine.
   ZombieEngine(const Corpus* corpus, ExtractionService* service,
                EngineOptions options = {});
 
@@ -68,15 +66,15 @@ class ZombieEngine {
   const EngineOptions& options() const { return options_; }
   const Corpus& corpus() const { return *corpus_; }
   const FeaturePipeline& pipeline() const { return *pipeline_; }
-  /// The borrowed service, or null when the engine builds one per run.
+  /// The extraction path every run uses (never null).
   ExtractionService* extraction_service() const { return service_; }
 
  private:
   const Corpus* corpus_;
+  /// Set by the pipeline-pointer constructor only.
+  std::unique_ptr<ExtractionService> owned_service_;
+  ExtractionService* service_;
   const FeaturePipeline* pipeline_;
-  /// Borrowed from the caller (second constructor); null means Run()
-  /// constructs a transient service per run.
-  ExtractionService* service_ = nullptr;
   EngineOptions options_;
 };
 

@@ -78,10 +78,6 @@ ExperimentDriver::ExperimentDriver(const Corpus* corpus,
       num_threads_(ResolveThreads(options.num_threads)) {
   ZCHECK(corpus != nullptr);
   ZCHECK(pipeline != nullptr);
-  ZCHECK(options_.engine.feature_cache == nullptr)
-      << "pass the cache via ExperimentDriverOptions::cache";
-  ZCHECK(options_.engine.feature_store == nullptr)
-      << "pass the store via ExperimentDriverOptions::store";
   ZCHECK((options_.stream == nullptr) ==
          (options_.incremental_grouper == nullptr))
       << "streaming needs both the source and the incremental grouper";

@@ -87,22 +87,20 @@ struct TrialResult {
 struct ExperimentDriverOptions {
   /// Worker threads for trial execution; 0 means hardware concurrency.
   size_t num_threads = 1;
-  /// Engine configuration shared by every trial; `seed` and
-  /// `feature_cache` are overridden per the grid/driver.
+  /// Engine configuration shared by every trial; `seed` is overridden per
+  /// the grid.
   EngineOptions engine;
   /// Optional shared feature memo (borrowed, thread-safe; must outlive the
   /// driver). Trials of the same pipeline hit each other's extractions,
   /// which changes wall-clock time only — never results. The driver wraps
-  /// it in one shared ExtractionService that every trial engine borrows,
-  /// so `engine.feature_cache` must stay null.
+  /// it in one shared ExtractionService that every trial engine borrows.
   FeatureCache* cache = nullptr;
   /// Speculative prefetch shared by every trial (wall-clock-only; see
   /// ExtractionService). Requires `cache` — speculation without a cache
   /// has nowhere to put results and is silently disabled.
   PrefetchOptions prefetch;
   /// Optional persistent second cache tier shared by every trial (borrowed,
-  /// thread-safe; must outlive the driver). Wall-clock-only, like `cache`;
-  /// `engine.feature_store` must stay null.
+  /// thread-safe; must outlive the driver). Wall-clock-only, like `cache`.
   PersistentFeatureStore* store = nullptr;
   /// Streaming ingestion shared by every trial (both borrowed, both or
   /// neither; must outlive the driver). The groupings axis must then hold

@@ -5,7 +5,6 @@
 
 #include "bandit/policy.h"
 #include "core/run_result.h"
-#include "featureeng/extraction_service.h"
 #include "index/grouper.h"
 #include "ml/feature_pruner.h"
 #include "ml/learner.h"
@@ -23,7 +22,6 @@ class IncrementalGrouper;
 ///
 ///   RunSpec spec(grouping, policy, learner, reward);
 ///   spec.warm_start = &previous.arms;
-///   spec.prefetch.threads = 4;
 ///   RunResult r = engine.Run(spec);
 struct RunSpec {
   RunSpec(const GroupingResult& grouping_in, const BanditPolicy& policy_in,
@@ -47,16 +45,6 @@ struct RunSpec {
   /// seeded with pseudo-observations of its previous mean reward. Ignored
   /// when the arm count does not match the grouping.
   const std::vector<ArmSummary>* warm_start = nullptr;
-
-  /// Speculative prefetch extraction for this run. Only consulted when the
-  /// engine owns its extraction path (the pipeline-pointer constructor):
-  /// the engine then builds a per-run ExtractionService around
-  /// EngineOptions::feature_cache with these bounds. Engines constructed
-  /// over a borrowed ExtractionService use that service's own prefetch
-  /// configuration instead, so concurrent runs share one speculation
-  /// budget. Wall-clock-only either way: results are byte-identical with
-  /// prefetch on or off (see ExtractionService).
-  PrefetchOptions prefetch;
 
   /// Per-run override of EngineOptions::pruning (borrowed; null = use the
   /// engine-wide setting). Lets one engine run prune-off and prune-on arms

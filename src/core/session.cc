@@ -41,10 +41,6 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
                          PrefetchOptions prefetch,
                          PersistentFeatureStore* store,
                          const SessionStreamConfig* stream) {
-  ZCHECK(engine_options.feature_cache == nullptr)
-      << "pass the cache via RunSession's cache parameter";
-  ZCHECK(engine_options.feature_store == nullptr)
-      << "pass the store via RunSession's store parameter";
   SessionResult session;
   session.mode = mode;
   std::vector<ArmSummary> previous_arms;

@@ -75,10 +75,9 @@ struct SessionResult {
 ///
 /// Ownership: the session routes each revision through its own
 /// ExtractionService built over (revision pipeline, cache, `prefetch`,
-/// `store`), so EngineOptions::feature_cache and feature_store must be null
-/// here — pass both via the parameters and they outlive every service
-/// built on them. `prefetch` enables speculative prefetch extraction per
-/// revision; `store` attaches a persistent second cache tier that carries
+/// `store`); the cache and store outlive every service built on them.
+/// `prefetch` enables speculative prefetch extraction per revision;
+/// `store` attaches a persistent second cache tier that carries
 /// extractions across *processes* and restarts (both wall-clock-only; see
 /// ExtractionService). Each revision hits the store under its own pipeline
 /// fingerprint, so a warm store skips re-extraction for exactly the

@@ -143,16 +143,20 @@ StatusOr<std::unique_ptr<PersistentFeatureStore>> PersistentFeatureStore::Open(
 }
 
 Status PersistentFeatureStore::Init() {
-  // Role election. A would-be writer that loses the exclusive lock
-  // degrades to reader; a reader additionally tries the shared lock, but
-  // proceeds lock-free when a live writer holds the exclusive one (reads
-  // are safe without it — see the class comment).
+  // Role election. A would-be writer that loses the exclusive lock to a
+  // live writer (FailedPrecondition) degrades to reader; any other lock
+  // error (missing directory, no permission) fails the open. A reader
+  // additionally tries the shared lock, but proceeds lock-free when a live
+  // writer holds the exclusive one (reads are safe without it — see the
+  // class comment).
   if (!options_.read_only) {
     StatusOr<FileLock> lock =
         FileLock::Acquire(path_ + ".lock", FileLockMode::kExclusive);
     if (lock.ok()) {
       write_lock_ = std::move(lock).value();
       writable_ = true;
+    } else if (lock.status().code() != StatusCode::kFailedPrecondition) {
+      return lock.status();
     }
   }
   if (!writable_) {

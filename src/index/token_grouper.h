@@ -2,10 +2,12 @@
 #define ZOMBIE_INDEX_TOKEN_GROUPER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "index/grouper.h"
+#include "index/incremental_grouper.h"
 
 namespace zombie {
 
@@ -31,17 +33,33 @@ struct TokenGrouperOptions {
   std::vector<std::string> seed_terms;
 };
 
-class TokenGrouper : public Grouper {
+/// One class for both index builds. Streaming: the DF-band token table is
+/// selected over the base and frozen; arrivals join every group whose token
+/// they mention (first-mention order), or the catch-all. The streaming
+/// catch-all always exists — a streamed document with no indexed token must
+/// have somewhere to land — so the grouper is append-only: groups never
+/// split and never appear mid-run. Group(corpus) is GroupBase(corpus,
+/// corpus.size()) on a fresh copy, minus an empty catch-all.
+class TokenGrouper : public Grouper, public IncrementalGrouper {
  public:
   explicit TokenGrouper(TokenGrouperOptions options = {});
 
   GroupingResult Group(const Corpus& corpus) override;
+  GroupingResult GroupBase(const Corpus& corpus, size_t base_size) override;
+  IngestAssignment AssignOrSplit(const Corpus& corpus,
+                                 uint32_t doc_index) override;
+  size_t num_groups() const override { return num_token_groups_ + 1; }
   std::string name() const override { return "token"; }
+  std::unique_ptr<IncrementalGrouper> Clone() const override;
 
   const TokenGrouperOptions& options() const { return options_; }
 
  private:
   TokenGrouperOptions options_;
+  /// token id -> group id; -1 unindexed. Frozen at GroupBase.
+  std::vector<int32_t> token_to_group_;
+  size_t num_token_groups_ = 0;  // catch-all is group num_token_groups_
+  bool base_built_ = false;
 };
 
 }  // namespace zombie

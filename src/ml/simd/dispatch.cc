@@ -8,7 +8,6 @@ namespace simd {
 namespace {
 
 const SparseKernels kScalarTable = {
-    &ScalarDotSparseDense,
     &ScalarDotSparseSparse,
     &ScalarAddScaledTo,
     &ScalarSquaredDistance,
@@ -17,7 +16,6 @@ const SparseKernels kScalarTable = {
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX2)
 const SparseKernels kAvx2Table = {
-    &Avx2DotSparseDense,
     &Avx2DotSparseSparse,
     &Avx2AddScaledTo,
     &Avx2SquaredDistance,
@@ -27,7 +25,6 @@ const SparseKernels kAvx2Table = {
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX512)
 const SparseKernels kAvx512Table = {
-    &Avx512DotSparseDense,
     &Avx512DotSparseSparse,
     &Avx512AddScaledTo,
     &Avx512SquaredDistance,

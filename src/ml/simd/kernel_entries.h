@@ -21,8 +21,6 @@ namespace simd {
 constexpr uint32_t kPrunedFeature = 0xffffffffu;
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX2)
-double Avx2DotSparseDense(const uint32_t* indices, const double* values,
-                          size_t n, const double* dense);
 double Avx2DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
                            const uint32_t* bi, const double* bv, size_t nb);
 void Avx2AddScaledTo(const uint32_t* indices, const double* values, size_t n,
@@ -35,8 +33,6 @@ size_t Avx2RemapSparseView(const uint32_t* indices, const double* values,
 #endif
 
 #if defined(ZOMBIE_SIMD_HAVE_AVX512)
-double Avx512DotSparseDense(const uint32_t* indices, const double* values,
-                            size_t n, const double* dense);
 double Avx512DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
                              const uint32_t* bi, const double* bv, size_t nb);
 void Avx512AddScaledTo(const uint32_t* indices, const double* values,

@@ -8,7 +8,7 @@
 #include "ml/simd/kernel_entries.h"  // kPrunedFeature
 #include "ml/simd/simd_level.h"
 
-// Runtime ISA dispatch for the five hot sparse kernels. The contract every
+// Runtime ISA dispatch for the four hot sparse kernels. The contract every
 // table entry obeys: bit-identical results to the scalar reference in
 // sparse_kernels_scalar.h — same FP additions, same operands, same order.
 // SIMD implementations may only vectorize *index* work (scanning mismatch
@@ -25,9 +25,6 @@
 namespace zombie {
 namespace simd {
 
-using DotSparseDenseFn = double (*)(const uint32_t* indices,
-                                    const double* values, size_t n,
-                                    const double* dense);
 using DotSparseSparseFn = double (*)(const uint32_t* ai, const double* av,
                                      size_t na, const uint32_t* bi,
                                      const double* bv, size_t nb);
@@ -53,12 +50,10 @@ using RemapSparseViewFn = size_t (*)(const uint32_t* indices,
 
 /// One dispatch table per ISA level. Preconditions (enforced by the
 /// sparse_vector.h wrappers, which keep the cutoff/resize/empty logic):
-///   dot_sparse_dense:  every indices[i] < size of `dense`
 ///   dot_sparse_sparse: na > 0 && nb > 0
 ///   add_scaled_to:     `out` spans [0, indices[n-1]]
 ///   squared_distance:  none (empty sides flow through the tails)
 struct SparseKernels {
-  DotSparseDenseFn dot_sparse_dense;
   DotSparseSparseFn dot_sparse_sparse;
   AddScaledToFn add_scaled_to;
   SquaredDistanceFn squared_distance;
@@ -86,19 +81,6 @@ std::vector<SimdLevel> AvailableLevels();
 /// feature pipeline, the call indirection costs more than SIMD saves, and
 /// both paths are bit-identical by contract so the cutover is unobservable.
 constexpr size_t kSimdMinEntries = 16;
-
-/// Per-kernel override for the gathered sparse·dense dot. The PR 8 negative
-/// result (EXPERIMENTS.md) showed the gather variant losing to scalar at the
-/// generic cutoff; the per-nnz re-measure (bench_micro BM_SimdDotSparseDense
-/// sweep, nnz 8..512) found no crossover at any size — scalar's two-load
-/// multiply-accumulate already saturates the load ports, so the gather's
-/// fixed overhead (index widening, INT32_MAX guard, lane extraction) never
-/// pays for itself. The Dot(dense) wrapper therefore routes to the scalar
-/// loop at every size; the SIMD variants stay compiled, dispatched, and
-/// bit-equality-tested (KernelsForLevel) so a part with a faster gather only
-/// needs this constant recalibrated, and the cutover stays unobservable
-/// because both paths are bit-identical by contract.
-constexpr size_t kSimdMinEntriesDotSparseDense = SIZE_MAX;
 
 }  // namespace simd
 }  // namespace zombie

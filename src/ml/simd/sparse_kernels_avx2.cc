@@ -77,37 +77,6 @@ inline double AccumulateSquares(const double* v, size_t i, size_t end,
 
 }  // namespace
 
-double Avx2DotSparseDense(const uint32_t* indices, const double* values,
-                          size_t n, const double* dense) {
-  double sum = 0.0;
-  size_t i = 0;
-  // _mm256_i32gather_pd sign-extends its 32-bit indices; indices above
-  // INT32_MAX (legal in the format) must take the scalar loop. Indices are
-  // sorted, so checking the last one covers all.
-  if (n >= 4 && indices[n - 1] <= static_cast<uint32_t>(INT32_MAX)) {
-    alignas(32) double prod[4];
-    // Masked all-lanes gather with an explicit zero source: the plain
-    // gather intrinsic's "uninitialized pass-through" idiom (__Y = __Y)
-    // trips -Wmaybe-uninitialized under -Werror builds.
-    const __m256d ones =
-        _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    for (; i + 4 <= n; i += 4) {
-      const __m128i vidx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(indices + i));
-      const __m256d gathered =
-          _mm256_mask_i32gather_pd(_mm256_setzero_pd(), dense, vidx, ones, 8);
-      _mm256_store_pd(prod,
-                      _mm256_mul_pd(_mm256_loadu_pd(values + i), gathered));
-      sum += prod[0];
-      sum += prod[1];
-      sum += prod[2];
-      sum += prod[3];
-    }
-  }
-  for (; i < n; ++i) sum += values[i] * dense[indices[i]];
-  return sum;
-}
-
 double Avx2DotSparseSparse(const uint32_t* ai, const double* av, size_t na,
                            const uint32_t* bi, const double* bv, size_t nb) {
   // Same run-skipping merge as scalar, with the mismatch scans — the

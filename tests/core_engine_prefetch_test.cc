@@ -70,18 +70,18 @@ class EnginePrefetchTest : public ::testing::Test {
     opts.holdout_size = 150;
     opts.eval_every = 10;
     opts.stop.max_items = 200;
-    opts.feature_cache = &cache;
     ObsContext obs;
     opts.obs = &obs;
+    PrefetchOptions prefetch;
+    prefetch.threads = prefetch_threads;
+    prefetch.max_arms = 4;
+    prefetch.max_items_per_arm = 4;
+    ExtractionService service(&task_.pipeline, &cache, prefetch, obs.trace());
 
     NaiveBayesLearner learner;
     LabelReward reward;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
-    RunSpec spec(grouping, policy, learner, reward);
-    spec.prefetch.threads = prefetch_threads;
-    spec.prefetch.max_arms = 4;
-    spec.prefetch.max_items_per_arm = 4;
-    RunResult r = engine.Run(spec);
+    ZombieEngine engine(&task_.corpus, &service, opts);
+    RunResult r = engine.Run(RunSpec(grouping, policy, learner, reward));
 
     Outcome out;
     out.fingerprint = Fingerprint(r);

@@ -74,14 +74,14 @@ class EnginePruneTest : public ::testing::Test {
     opts.holdout_size = 150;
     opts.eval_every = 10;
     opts.stop.max_items = 200;
-    opts.feature_cache = use_cache ? &cache : nullptr;
     opts.holdout_eval_threads = eval_threads;
     ObsContext obs;
     opts.obs = &obs;
+    ExtractionService service(&task_.pipeline, use_cache ? &cache : nullptr);
 
     EpsilonGreedyPolicy policy;
     LabelReward reward;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    ZombieEngine engine(&task_.corpus, &service, opts);
     RunSpec spec(grouping_, policy, learner, reward);
     spec.pruning_override = pruning_override;
     RunResult r = engine.Run(spec);
@@ -167,13 +167,13 @@ TEST_F(EnginePruneTest, PrunedRunByteIdenticalAcrossWallClockKnobs) {
     opts.holdout_size = 150;
     opts.eval_every = 10;
     opts.stop.max_items = 200;
-    opts.feature_cache = &cache;
     opts.pruning = conservative;
     ObsContext obs;
     opts.obs = &obs;
+    ExtractionService service(&task_.pipeline, &cache);
     EpsilonGreedyPolicy policy;
     LabelReward reward;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    ZombieEngine engine(&task_.corpus, &service, opts);
     RunSpec spec(grouping_, policy, nb, reward);
     EXPECT_EQ(Fingerprint(engine.Run(spec)), base.fingerprint);
   }

@@ -56,15 +56,14 @@ class EngineStoreTest : public ::testing::Test {
     opts.holdout_size = 150;
     opts.eval_every = 10;
     opts.stop.max_items = 200;
-    opts.feature_cache = &cache;
-    opts.feature_store = store;
     ObsContext obs;
     opts.obs = &obs;
+    ExtractionService service(&task_.pipeline, &cache, {}, nullptr, store);
 
     NaiveBayesLearner learner;
     LabelReward reward;
     EpsilonGreedyPolicy policy;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    ZombieEngine engine(&task_.corpus, &service, opts);
     RunSpec spec(grouping_, policy, learner, reward);
     RunResult r = engine.Run(spec);
 

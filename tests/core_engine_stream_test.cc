@@ -26,6 +26,7 @@
 #include "featureeng/feature_cache.h"
 #include "gtest/gtest.h"
 #include "index/incremental_grouper.h"
+#include "index/kmeans_grouper.h"
 #include "ml/naive_bayes.h"
 #include "obs/obs.h"
 #include "util/string_util.h"
@@ -82,15 +83,15 @@ class EngineStreamTest : public ::testing::Test {
       opts.stop.plateau_enabled = false;
       opts.stop.decline_enabled = false;
     }
-    opts.feature_cache = use_cache ? &cache : nullptr;
     opts.holdout_eval_threads = eval_threads;
     ObsContext obs;
     opts.obs = &obs;
+    ExtractionService service(&task_.pipeline, use_cache ? &cache : nullptr);
 
     EpsilonGreedyPolicy policy;
     LabelReward reward;
     NaiveBayesLearner nb;
-    ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+    ZombieEngine engine(&task_.corpus, &service, opts);
     RunSpec spec(grouping, policy, nb, reward);
     spec.stream = stream;
     spec.incremental_grouper = igrouper;
@@ -119,10 +120,10 @@ class EngineStreamTest : public ::testing::Test {
 TEST_F(EngineStreamTest, DrainedStreamIsByteIdenticalToOffline) {
   // Same base grouping either way; the streaming run's schedule is empty
   // (base == corpus), so the ingestion machinery must be a perfect no-op.
-  IncrementalKMeansOptions kopts;
+  KMeansGrouperOptions kopts;
   kopts.num_groups = 6;
   kopts.seed = 7;
-  IncrementalKMeansGrouper igrouper(kopts);
+  KMeansGrouper igrouper(kopts);
   GroupingResult grouping =
       igrouper.GroupBase(task_.corpus, task_.corpus.size());
   ScheduledCorpusSource source(&task_.corpus, task_.corpus.size(), {});
@@ -137,11 +138,11 @@ TEST_F(EngineStreamTest, DrainedStreamIsByteIdenticalToOffline) {
 }
 
 TEST_F(EngineStreamTest, ByteIdenticalAcrossWallClockKnobsAndRepeats) {
-  IncrementalKMeansOptions kopts;
+  KMeansGrouperOptions kopts;
   kopts.num_groups = 6;
   kopts.seed = 7;
   kopts.split_threshold = 16;  // force mid-run splits
-  IncrementalKMeansGrouper igrouper(kopts);
+  KMeansGrouper igrouper(kopts);
   const size_t base = 600;
   GroupingResult grouping = igrouper.GroupBase(task_.corpus, base);
   ArrivalScheduleOptions sched;
@@ -182,11 +183,11 @@ TEST_F(EngineStreamTest, ByteIdenticalAcrossWallClockKnobsAndRepeats) {
 }
 
 TEST_F(EngineStreamTest, DynamicArmsAppearEverywhereConsistently) {
-  IncrementalKMeansOptions kopts;
+  KMeansGrouperOptions kopts;
   kopts.num_groups = 4;
   kopts.seed = 7;
   kopts.split_threshold = 8;  // split eagerly
-  IncrementalKMeansGrouper igrouper(kopts);
+  KMeansGrouper igrouper(kopts);
   const size_t base = 600;
   GroupingResult grouping = igrouper.GroupBase(task_.corpus, base);
   const size_t base_arms = grouping.num_groups();
@@ -216,10 +217,10 @@ TEST_F(EngineStreamTest, StarvationFastForwardsToNextArrival) {
   // the stream still holds documents. The engine must advance virtual time
   // to the next arrival and keep going — kExhausted only when the base AND
   // the stream are fully consumed.
-  IncrementalKMeansOptions kopts;
+  KMeansGrouperOptions kopts;
   kopts.num_groups = 3;
   kopts.seed = 7;
-  IncrementalKMeansGrouper igrouper(kopts);
+  KMeansGrouper igrouper(kopts);
   const size_t base = 60;
   GroupingResult grouping = igrouper.GroupBase(task_.corpus, base);
   ArrivalScheduleOptions sched;
@@ -252,11 +253,11 @@ TEST_F(EngineStreamTest, AllPoliciesSurviveMidRunArmGrowth) {
       PolicyKind::kSlidingUcb,    PolicyKind::kThompson,
       PolicyKind::kExp3,          PolicyKind::kSoftmax,
   };
-  IncrementalKMeansOptions kopts;
+  KMeansGrouperOptions kopts;
   kopts.num_groups = 4;
   kopts.seed = 7;
   kopts.split_threshold = 8;
-  IncrementalKMeansGrouper igrouper(kopts);
+  KMeansGrouper igrouper(kopts);
   const size_t base = 600;
   GroupingResult grouping = igrouper.GroupBase(task_.corpus, base);
   ScheduledCorpusSource source(
@@ -271,13 +272,13 @@ TEST_F(EngineStreamTest, AllPoliciesSurviveMidRunArmGrowth) {
       opts.holdout_size = 120;
       opts.eval_every = 10;
       opts.stop.max_items = 250;
-      opts.feature_cache = &cache;
       ObsContext obs;
       opts.obs = &obs;
+      ExtractionService service(&task_.pipeline, &cache);
       auto policy = MakePolicy(kind);
       LabelReward reward;
       NaiveBayesLearner nb;
-      ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+      ZombieEngine engine(&task_.corpus, &service, opts);
       RunSpec spec(grouping, *policy, nb, reward);
       spec.stream = &source;
       spec.incremental_grouper = &igrouper;

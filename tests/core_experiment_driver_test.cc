@@ -290,11 +290,11 @@ TEST(ExperimentDriverTest, PruningsAxisExpandsInOrderWithStableLabels) {
 
 TEST(ExperimentDriverTest, StreamingGridDeterministicAcrossThreads) {
   Fixture f;
-  IncrementalKMeansOptions kopts;
+  KMeansGrouperOptions kopts;
   kopts.num_groups = 6;
   kopts.seed = 5;
   kopts.split_threshold = 16;
-  IncrementalKMeansGrouper igrouper(kopts);
+  KMeansGrouper igrouper(kopts);
   const size_t base = 800;
   GroupingResult base_grouping = igrouper.GroupBase(f.task.corpus, base);
   ScheduledCorpusSource source(

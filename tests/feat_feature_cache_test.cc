@@ -281,12 +281,11 @@ TEST(FeatureCacheEngineTest, CachedRunsAreByteIdentical) {
                         .Run(RunSpec(grouping, policy, nb, reward));
 
   FeatureCache cache;
-  EngineOptions cached_opts = opts;
-  cached_opts.feature_cache = &cache;
+  ExtractionService service(&task.pipeline, &cache);
   // Run twice: the first populates (all misses), the second replays from a
   // warm cache. Both must match the cache-less run exactly.
   for (int round = 0; round < 2; ++round) {
-    RunResult r = ZombieEngine(&task.corpus, &task.pipeline, cached_opts)
+    RunResult r = ZombieEngine(&task.corpus, &service, opts)
                       .Run(RunSpec(grouping, policy, nb, reward));
     EXPECT_EQ(plain.items_processed, r.items_processed) << "round " << round;
     EXPECT_EQ(plain.loop_virtual_micros, r.loop_virtual_micros)

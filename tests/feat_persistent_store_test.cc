@@ -165,6 +165,16 @@ TEST(PersistentFeatureStoreTest, MissingFileReaderRunsDetached) {
   EXPECT_EQ(reader.value()->Stats().misses, 1u);
 }
 
+TEST(PersistentFeatureStoreTest, WriterInMissingDirectoryReportsIOError) {
+  // Only lock contention may degrade a writer to a reader; a lock file that
+  // cannot be created is an error, not "another writer is active".
+  std::string path = testing::TempDir() + "/no_such_dir/store.zfs";
+  auto store = PersistentFeatureStore::Open(path, SmallStore());
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kIOError)
+      << store.status().ToString();
+}
+
 TEST(PersistentFeatureStoreTest, FingerprintInvalidationDropsOnlyStale) {
   std::string path = StorePath("invalidate.zfs");
   constexpr uint32_t kDocs = 60;

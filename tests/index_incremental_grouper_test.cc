@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "data/generator.h"
+#include "index/kmeans_grouper.h"
+#include "index/token_grouper.h"
 
 namespace zombie {
 namespace {
@@ -21,15 +24,87 @@ Corpus TestCorpus(size_t docs = 800, uint64_t seed = 41) {
   return SyntheticCorpusGenerator(cfg).Generate();
 }
 
+void ExpectSameGrouping(const GroupingResult& a, const GroupingResult& b) {
+  EXPECT_EQ(a.groups, b.groups);
+  EXPECT_EQ(a.method, b.method);
+  EXPECT_EQ(a.build_virtual_micros, b.build_virtual_micros);
+}
+
+// ---------------------------------------------------------------------------
+// Offline Group == streaming GroupBase over the whole corpus
+// ---------------------------------------------------------------------------
+
+TEST(OfflineIsBaseBuildTest, KMeansGroupMatchesFullGroupBase) {
+  Corpus corpus = TestCorpus();
+  for (size_t k : {1u, 4u, 16u, 32u}) {
+    SCOPED_TRACE(k);
+    KMeansGrouper offline(k, 7);
+    GroupingResult grouped = offline.Group(corpus);
+    EXPECT_EQ(grouped.method, "kmeans" + std::to_string(k));
+    EXPECT_EQ(grouped.num_groups(), k);
+    EXPECT_TRUE(grouped.Validate(corpus.size()).ok());
+    // Group leaves the instance unprimed: no per-document state is kept.
+    EXPECT_EQ(offline.num_groups(), 0u);
+    ExpectSameGrouping(grouped, offline.Group(corpus));
+
+    KMeansGrouper streaming(k, 7);
+    ExpectSameGrouping(grouped, streaming.GroupBase(corpus, corpus.size()));
+    // A primed instance still groups from scratch.
+    ExpectSameGrouping(grouped, streaming.Group(corpus));
+  }
+}
+
+TEST(OfflineIsBaseBuildTest, KMeansAcceptsMoreGroupsThanTheDefaultCap) {
+  Corpus corpus = TestCorpus();
+  KMeansGrouper grouper(600, 7);
+  GroupingResult grouped = grouper.Group(corpus);
+  EXPECT_EQ(grouped.num_groups(), 600u);
+  EXPECT_TRUE(grouped.Validate(corpus.size()).ok());
+}
+
+TEST(OfflineIsBaseBuildTest, TokenGroupDropsOnlyAnEmptyCatchAll) {
+  Corpus corpus = TestCorpus();
+  TokenGrouperOptions covering;  // band wide enough to cover every doc
+  covering.min_df_fraction = 0.0;
+  covering.max_df_fraction = 1.0;
+  TokenGrouperOptions tight;  // no token qualifies: all in the catch-all
+  tight.min_df_fraction = 0.999;
+  tight.max_df_fraction = 0.9999;
+  for (const TokenGrouperOptions& opts :
+       {TokenGrouperOptions{}, covering, tight}) {
+    TokenGrouper offline(opts);
+    GroupingResult grouped = offline.Group(corpus);
+    EXPECT_EQ(grouped.method, "token");
+    EXPECT_TRUE(grouped.Validate(corpus.size()).ok());
+    ExpectSameGrouping(grouped, offline.Group(corpus));
+
+    TokenGrouper streaming(opts);
+    GroupingResult base = streaming.GroupBase(corpus, corpus.size());
+    ASSERT_FALSE(base.groups.empty());
+    if (base.groups.back().empty()) {
+      base.groups.pop_back();
+      EXPECT_EQ(grouped.num_groups(), streaming.num_groups() - 1);
+    } else {
+      EXPECT_EQ(grouped.num_groups(), streaming.num_groups());
+    }
+    ExpectSameGrouping(grouped, base);
+  }
+  TokenGrouper covered(covering);
+  EXPECT_EQ(covered.Group(corpus).num_groups(),
+            covered.GroupBase(corpus, corpus.size()).num_groups() - 1)
+      << "the covering band must leave the catch-all empty";
+  EXPECT_EQ(TokenGrouper(tight).Group(corpus).num_groups(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // k-means
 // ---------------------------------------------------------------------------
 
-TEST(IncrementalKMeansTest, GroupBaseCoversPrefixAndValidates) {
+TEST(StreamingKMeansTest, GroupBaseCoversPrefixAndValidates) {
   Corpus corpus = TestCorpus();
-  IncrementalKMeansOptions opts;
+  KMeansGrouperOptions opts;
   opts.num_groups = 8;
-  IncrementalKMeansGrouper grouper(opts);
+  KMeansGrouper grouper(opts);
   GroupingResult grouping = grouper.GroupBase(corpus, 600);
   EXPECT_TRUE(grouping.Validate(600).ok());
   EXPECT_EQ(grouping.num_groups(), grouper.num_groups());
@@ -43,13 +118,13 @@ TEST(IncrementalKMeansTest, GroupBaseCoversPrefixAndValidates) {
   EXPECT_EQ(covered.size(), 600u);
 }
 
-TEST(IncrementalKMeansTest, AssignIsDeterministicAndAppendsToOneGroup) {
+TEST(StreamingKMeansTest, AssignIsDeterministicAndAppendsToOneGroup) {
   Corpus corpus = TestCorpus();
-  IncrementalKMeansOptions opts;
+  KMeansGrouperOptions opts;
   opts.num_groups = 8;
   opts.split_threshold = 1u << 20;  // never split in this test
-  IncrementalKMeansGrouper a(opts);
-  IncrementalKMeansGrouper b(opts);
+  KMeansGrouper a(opts);
+  KMeansGrouper b(opts);
   a.GroupBase(corpus, 600);
   b.GroupBase(corpus, 600);
   for (uint32_t d = 600; d < 700; ++d) {
@@ -64,13 +139,13 @@ TEST(IncrementalKMeansTest, AssignIsDeterministicAndAppendsToOneGroup) {
   EXPECT_EQ(a.num_groups(), 8u);
 }
 
-TEST(IncrementalKMeansTest, OverflowTriggersDeterministicSplit) {
+TEST(StreamingKMeansTest, OverflowTriggersDeterministicSplit) {
   Corpus corpus = TestCorpus();
-  IncrementalKMeansOptions opts;
+  KMeansGrouperOptions opts;
   opts.num_groups = 2;       // big fat groups...
   opts.split_threshold = 8;  // ...that overflow almost immediately
-  IncrementalKMeansGrouper grouper(opts);
-  IncrementalKMeansGrouper twin(opts);
+  KMeansGrouper grouper(opts);
+  KMeansGrouper twin(opts);
   grouper.GroupBase(corpus, 64);
   twin.GroupBase(corpus, 64);
   size_t groups_before = grouper.num_groups();
@@ -97,13 +172,13 @@ TEST(IncrementalKMeansTest, OverflowTriggersDeterministicSplit) {
             groups_before + grouper.num_splits());
 }
 
-TEST(IncrementalKMeansTest, MaxGroupsCapStopsSplitsButNotAssignment) {
+TEST(StreamingKMeansTest, MaxGroupsCapStopsSplitsButNotAssignment) {
   Corpus corpus = TestCorpus();
-  IncrementalKMeansOptions opts;
+  KMeansGrouperOptions opts;
   opts.num_groups = 2;
   opts.split_threshold = 4;
   opts.max_groups = 3;  // one split allowed, then capped
-  IncrementalKMeansGrouper grouper(opts);
+  KMeansGrouper grouper(opts);
   grouper.GroupBase(corpus, 64);
   for (uint32_t d = 64; d < 400; ++d) {
     IngestAssignment a = grouper.AssignOrSplit(corpus, d);
@@ -114,12 +189,12 @@ TEST(IncrementalKMeansTest, MaxGroupsCapStopsSplitsButNotAssignment) {
   EXPECT_EQ(grouper.num_splits(), 1u);
 }
 
-TEST(IncrementalKMeansTest, CloneIsIndependentDeepCopy) {
+TEST(StreamingKMeansTest, CloneIsIndependentDeepCopy) {
   Corpus corpus = TestCorpus();
-  IncrementalKMeansOptions opts;
+  KMeansGrouperOptions opts;
   opts.num_groups = 4;
   opts.split_threshold = 8;
-  IncrementalKMeansGrouper grouper(opts);
+  KMeansGrouper grouper(opts);
   grouper.GroupBase(corpus, 100);
   std::unique_ptr<IncrementalGrouper> clone = grouper.Clone();
   // Drive the clone and the original with the same stream: identical
@@ -237,9 +312,9 @@ TEST(IncrementalMetadataTest, CloneCarriesDomainMap) {
 // token
 // ---------------------------------------------------------------------------
 
-TEST(IncrementalTokenTest, AppendOnlyWithCatchAllFallback) {
+TEST(StreamingTokenTest, AppendOnlyWithCatchAllFallback) {
   Corpus corpus = TestCorpus();
-  IncrementalTokenGrouper grouper;
+  TokenGrouper grouper;
   GroupingResult grouping = grouper.GroupBase(corpus, 600);
   EXPECT_TRUE(grouping.Validate(600).ok());
   // The catch-all always exists: group count = token groups + 1.
@@ -263,15 +338,15 @@ TEST(IncrementalTokenTest, AppendOnlyWithCatchAllFallback) {
   (void)used_catch_all;  // depends on vocabulary; not asserted
 }
 
-TEST(IncrementalTokenTest, CatchAllCatchesDocWithNoIndexedToken) {
+TEST(StreamingTokenTest, CatchAllCatchesDocWithNoIndexedToken) {
   Corpus corpus = TestCorpus();
   TokenGrouperOptions opts;
   // Impossibly tight DF band: no token qualifies, everything lands in the
-  // catch-all — which must still exist (unlike the offline TokenGrouper,
-  // where a fully-covering table can omit it).
+  // catch-all — which must still exist (unlike TokenGrouper::Group, where
+  // a fully-covering table omits it).
   opts.min_df_fraction = 0.999;
   opts.max_df_fraction = 0.9999;
-  IncrementalTokenGrouper grouper(opts);
+  TokenGrouper grouper(opts);
   GroupingResult grouping = grouper.GroupBase(corpus, 600);
   EXPECT_TRUE(grouping.Validate(600).ok());
   EXPECT_EQ(grouper.num_groups(), 1u);
@@ -282,9 +357,9 @@ TEST(IncrementalTokenTest, CatchAllCatchesDocWithNoIndexedToken) {
   }
 }
 
-TEST(IncrementalTokenTest, CloneSharesNoState) {
+TEST(StreamingTokenTest, CloneSharesNoState) {
   Corpus corpus = TestCorpus();
-  IncrementalTokenGrouper grouper;
+  TokenGrouper grouper;
   grouper.GroupBase(corpus, 600);
   std::unique_ptr<IncrementalGrouper> clone = grouper.Clone();
   EXPECT_EQ(clone->num_groups(), grouper.num_groups());

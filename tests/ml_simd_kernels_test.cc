@@ -97,20 +97,14 @@ void ExpectBitIdentical(const SparseKernels& table, const Row& a,
     EXPECT_EQ(Bits(got), Bits(want)) << "squared_distance " << got << " vs "
                                      << want;
   }
-  // Dense-side kernels need in-range indices; clamp to a dense buffer that
-  // covers the row (skip when the row's dimension is impractically large).
+  // The dense-side kernel needs in-range indices; clamp to a dense buffer
+  // that covers the row (skip when the row's dimension is impractically
+  // large).
   const uint32_t max_idx = a.n() == 0 ? 0 : a.idx.back();
   if (a.n() > 0 && max_idx < (1u << 16)) {
     Rng rng(777);
     std::vector<double> dense(static_cast<size_t>(max_idx) + 1);
     for (double& d : dense) d = rng.NextGaussian();
-    const double got = table.dot_sparse_dense(a.ip(), a.vp(), a.n(),
-                                              dense.data());
-    const double want = simd::ScalarDotSparseDense(a.ip(), a.vp(), a.n(),
-                                                   dense.data());
-    EXPECT_EQ(Bits(got), Bits(want)) << "dot_sparse_dense " << got << " vs "
-                                     << want;
-
     std::vector<double> out_got = dense;
     std::vector<double> out_want = dense;
     table.add_scaled_to(a.ip(), a.vp(), a.n(), -0.75, out_got.data());

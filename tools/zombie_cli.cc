@@ -190,9 +190,17 @@ StatusOr<Corpus> ObtainCorpus(const Flags& flags) {
   return std::move(task.corpus);
 }
 
-std::unique_ptr<Grouper> MakeGrouperFromFlags(const Flags& flags) {
+/// --groups, checked before any grouper is built (every grouper requires
+/// at least one group).
+StatusOr<size_t> GroupCountFromFlags(const Flags& flags) {
+  int64_t groups = flags.GetInt("groups", 32);
+  if (groups < 1) return Status::InvalidArgument("--groups must be >= 1");
+  return static_cast<size_t>(groups);
+}
+
+std::unique_ptr<Grouper> MakeGrouperFromFlags(const Flags& flags,
+                                              size_t groups) {
   std::string name = flags.GetString("grouper", "kmeans");
-  size_t groups = static_cast<size_t>(flags.GetInt("groups", 32));
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("grouper_seed", 7));
   if (name == "kmeans") return std::make_unique<KMeansGrouper>(groups, seed);
   if (name == "random") return std::make_unique<RandomGrouper>(groups, seed);
@@ -211,34 +219,20 @@ std::unique_ptr<Grouper> MakeGrouperFromFlags(const Flags& flags) {
   return nullptr;
 }
 
-/// The incremental counterpart of MakeGrouperFromFlags, for --stream runs.
-/// Only kmeans/metadata/token have streaming variants; anything else
-/// returns null and CmdRun reports the error.
-std::unique_ptr<IncrementalGrouper> MakeIncrementalGrouperFromFlags(
-    const Flags& flags) {
-  std::string name = flags.GetString("grouper", "kmeans");
-  size_t groups = static_cast<size_t>(flags.GetInt("groups", 32));
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("grouper_seed", 7));
-  if (name == "kmeans") {
-    IncrementalKMeansOptions opts;
-    opts.num_groups = groups;
-    opts.seed = seed;
-    return std::make_unique<IncrementalKMeansGrouper>(opts);
-  }
-  if (name == "metadata") {
+/// The --stream view of the --grouper choice. kmeans and token groupers
+/// stream as themselves; metadata streams through its first-seen-order
+/// twin, which partitions differently (index/incremental_grouper.h) and is
+/// returned through `owned`. Null for groupers with no streaming form.
+IncrementalGrouper* StreamingGrouper(
+    const Flags& flags, size_t groups, Grouper* grouper,
+    std::unique_ptr<IncrementalGrouper>* owned) {
+  if (flags.GetString("grouper", "kmeans") == "metadata") {
     IncrementalMetadataOptions opts;
     opts.max_groups = groups;
-    return std::make_unique<IncrementalMetadataGrouper>(opts);
+    *owned = std::make_unique<IncrementalMetadataGrouper>(opts);
+    return owned->get();
   }
-  if (name == "token") {
-    TokenGrouperOptions opts;
-    for (const std::string& term :
-         Split(flags.GetString("seed_terms", ""), ',')) {
-      if (!term.empty()) opts.seed_terms.push_back(term);
-    }
-    return std::make_unique<IncrementalTokenGrouper>(opts);
-  }
-  return nullptr;
+  return dynamic_cast<IncrementalGrouper*>(grouper);
 }
 
 /// --stream-order parse; unknown values are reported and fall back to the
@@ -290,7 +284,9 @@ std::unique_ptr<Learner> MakeLearnerFromFlags(const Flags& flags) {
   return nullptr;
 }
 
-EngineOptions MakeEngineOptionsFromFlags(const Flags& flags) {
+/// Engine knobs from flags, validated once here so a bad value ends in a
+/// one-line error instead of the engine's construction-time check.
+StatusOr<EngineOptions> MakeEngineOptionsFromFlags(const Flags& flags) {
   EngineOptions opts;
   opts.seed = static_cast<uint64_t>(flags.GetInt("run_seed", 1));
   opts.holdout_size = static_cast<size_t>(flags.GetInt("holdout", 400));
@@ -315,6 +311,7 @@ EngineOptions MakeEngineOptionsFromFlags(const Flags& flags) {
                  "(want off|conservative|aggressive); pruning stays off\n",
                  prune.c_str());
   }
+  ZOMBIE_RETURN_IF_ERROR(opts.Validate());
   return opts;
 }
 
@@ -438,6 +435,12 @@ bool WriteObsOutputs(const ObsOutputs& out, const ObsContext& obs) {
 // Subcommands
 // ---------------------------------------------------------------------------
 
+/// Reports `st` on one stderr line; the exit code of a failed subcommand.
+int Fail(const Status& st) {
+  std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  return 1;
+}
+
 int CmdGenerate(const Flags& flags) {
   StatusOr<TaskKind> kind = ParseTaskKind(flags.GetString("task", "webcat"));
   if (!kind.ok()) {
@@ -479,20 +482,19 @@ int CmdInspect(const Flags& flags) {
 }
 
 int CmdRun(const Flags& flags) {
+  StatusOr<EngineOptions> opts_or = MakeEngineOptionsFromFlags(flags);
+  if (!opts_or.ok()) return Fail(opts_or.status());
+  const EngineOptions opts = opts_or.value();
+  StatusOr<size_t> groups = GroupCountFromFlags(flags);
+  if (!groups.ok()) return Fail(groups.status());
   StatusOr<Corpus> corpus_or = ObtainCorpus(flags);
-  if (!corpus_or.ok()) {
-    std::fprintf(stderr, "%s\n", corpus_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus_or.ok()) return Fail(corpus_or.status());
   Corpus corpus = std::move(corpus_or).value();
   StatusOr<TaskKind> kind = ParseTaskKind(flags.GetString("task", "webcat"));
-  if (!kind.ok()) {
-    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return 1;
-  }
+  if (!kind.ok()) return Fail(kind.status());
   FeaturePipeline pipeline = MakeDefaultPipeline(kind.value(), corpus);
 
-  auto grouper = MakeGrouperFromFlags(flags);
+  auto grouper = MakeGrouperFromFlags(flags, groups.value());
   StatusOr<PolicyKind> policy_kind = ParsePolicyKindFromFlags(flags);
   auto reward = MakeRewardFromFlags(flags);
   auto learner = MakeLearnerFromFlags(flags);
@@ -500,7 +502,6 @@ int CmdRun(const Flags& flags) {
     std::fprintf(stderr, "unknown grouper/policy/reward/learner\n");
     return 1;
   }
-  EngineOptions opts = MakeEngineOptionsFromFlags(flags);
   bool with_baseline = flags.GetBool("baseline");
   bool use_cache = flags.GetBool("cache");
   PrefetchOptions prefetch = MakePrefetchOptionsFromFlags(flags, use_cache);
@@ -518,11 +519,7 @@ int CmdRun(const Flags& flags) {
       ParseArrivalOrder(flags.GetString("stream-order", "corpus"));
   uint64_t stream_seed = static_cast<uint64_t>(flags.GetInt("stream-seed", 17));
   ObsOutputs obs_out = GetObsOutputs(flags);
-  Status st = flags.CheckAllConsumed();
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (Status st = flags.CheckAllConsumed(); !st.ok()) return Fail(st);
   if (trials == 0) trials = 1;
 
   // The store retains everything by default; --store-gc keeps only this
@@ -536,7 +533,8 @@ int CmdRun(const Flags& flags) {
   // Streaming setup: the base grouping covers only the offline prefix; the
   // held-back suffix becomes the arrival schedule every trial replays.
   const bool streaming = stream_fraction > 0.0;
-  std::unique_ptr<IncrementalGrouper> igrouper;
+  std::unique_ptr<IncrementalGrouper> owned_igrouper;
+  IncrementalGrouper* igrouper = nullptr;
   std::unique_ptr<ScheduledCorpusSource> source;
   GroupingResult grouping;
   if (streaming) {
@@ -544,7 +542,8 @@ int CmdRun(const Flags& flags) {
       std::fprintf(stderr, "--stream must be in (0, 1)\n");
       return 1;
     }
-    igrouper = MakeIncrementalGrouperFromFlags(flags);
+    igrouper =
+        StreamingGrouper(flags, groups.value(), grouper.get(), &owned_igrouper);
     if (igrouper == nullptr) {
       std::fprintf(stderr,
                    "--stream supports --grouper=kmeans|metadata|token only\n");
@@ -585,7 +584,7 @@ int CmdRun(const Flags& flags) {
   dopts.prefetch = prefetch;
   dopts.store = store.get();
   dopts.stream = source.get();
-  dopts.incremental_grouper = igrouper.get();
+  dopts.incremental_grouper = igrouper;
   ExperimentDriver driver(&corpus, &pipeline, dopts);
   ExperimentGrid grid;
   grid.policies = {policy_kind.value()};
@@ -594,10 +593,7 @@ int CmdRun(const Flags& flags) {
   grid.learners = {learner.get()};
   for (size_t t = 0; t < trials; ++t) grid.seeds.push_back(opts.seed + t);
   StatusOr<std::vector<TrialResult>> trials_or = driver.RunGrid(grid);
-  if (!trials_or.ok()) {
-    std::fprintf(stderr, "%s\n", trials_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!trials_or.ok()) return Fail(trials_or.status());
   for (const TrialResult& t : trials_or.value()) {
     std::printf("zombie[s%llu]: %s\n",
                 static_cast<unsigned long long>(t.spec.seed),
@@ -655,24 +651,20 @@ int CmdRun(const Flags& flags) {
 }
 
 int CmdSession(const Flags& flags) {
+  StatusOr<EngineOptions> opts_or = MakeEngineOptionsFromFlags(flags);
+  if (!opts_or.ok()) return Fail(opts_or.status());
+  EngineOptions opts = opts_or.value();
+  StatusOr<size_t> groups = GroupCountFromFlags(flags);
+  if (!groups.ok()) return Fail(groups.status());
   StatusOr<Corpus> corpus_or = ObtainCorpus(flags);
-  if (!corpus_or.ok()) {
-    std::fprintf(stderr, "%s\n", corpus_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus_or.ok()) return Fail(corpus_or.status());
   Corpus corpus = std::move(corpus_or).value();
   bool warm = flags.GetBool("warm");
   bool use_cache = flags.GetBool("cache");
   PrefetchOptions prefetch = MakePrefetchOptionsFromFlags(flags, use_cache);
-  EngineOptions opts = MakeEngineOptionsFromFlags(flags);
-  size_t groups = static_cast<size_t>(flags.GetInt("groups", 32));
   std::string store_path = flags.GetString("store-path", "");
   ObsOutputs obs_out = GetObsOutputs(flags);
-  Status st = flags.CheckAllConsumed();
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (Status st = flags.CheckAllConsumed(); !st.ok()) return Fail(st);
 
   // A session spans many pipeline fingerprints (one per revision), so it
   // always retains everything.
@@ -688,7 +680,7 @@ int CmdSession(const Flags& flags) {
   FeatureCache* cache_ptr = use_cache ? &cache : nullptr;
   SessionResult full = RunSession(corpus, script, SessionMode::kFullScan,
                                   nullptr, learner, reward, opts);
-  KMeansGrouper grouper(groups, 7);
+  KMeansGrouper grouper(groups.value(), 7);
   SessionResult fast = RunSession(corpus, script, SessionMode::kZombie,
                                   &grouper, learner, reward, opts, warm,
                                   cache_ptr, prefetch, store.get());
