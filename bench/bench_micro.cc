@@ -18,8 +18,6 @@
 #include "index/signature.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
-#include "ml/simd/simd_level.h"
-#include "ml/simd/sparse_kernels.h"
 #include "ml/sparse_vector.h"
 #include "text/hashing_vectorizer.h"
 #include "text/tokenizer.h"
@@ -100,182 +98,6 @@ void BM_SparseFromPairs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseFromPairs)->Arg(128)->Arg(1024);
-
-void BM_SparseSquaredDistance(benchmark::State& state) {
-  const size_t nnz = static_cast<size_t>(state.range(0));
-  std::vector<SparseVector> as = RandomVectorPool(13, 8192, nnz);
-  std::vector<SparseVector> bs = RandomVectorPool(113, 8192, nnz);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      acc += as[p].SquaredDistance(bs[p]);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-BENCHMARK(BM_SparseSquaredDistance)->Arg(128)->Arg(512);
-
-// --- Per-ISA kernel benches (runtime-registered) --------------------------
-//
-// One benchmark per (available SIMD level, kernel), calling the level's
-// dispatch table directly on the same seeded pools as the wrapper benches
-// above. All levels go through the same function-pointer indirection, so
-// scalar-vs-AVX2-vs-AVX-512 walls isolate the kernel body; the per-ISA
-// "ratio.<isa>.<kernel>" metrics (scalar wall / ISA wall, computed below)
-// are machine-independent and gated in bench/baseline.json. Registered at
-// runtime because which levels exist depends on the host cpuid.
-
-void BM_SimdDotSparseSparse(benchmark::State& state,
-                            const simd::SparseKernels* k, size_t nnz) {
-  std::vector<SparseVector> as = RandomVectorPool(1, 8192, nnz);
-  std::vector<SparseVector> bs = RandomVectorPool(101, 8192, nnz);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = as[p];
-      const SparseVector& b = bs[p];
-      acc += k->dot_sparse_sparse(a.indices().data(), a.values().data(),
-                                  a.num_nonzero(), b.indices().data(),
-                                  b.values().data(), b.num_nonzero());
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
-void BM_SimdAddScaledTo(benchmark::State& state, const simd::SparseKernels* k,
-                        size_t nnz) {
-  std::vector<SparseVector> as = RandomVectorPool(3, 8192, nnz);
-  std::vector<double> out(8192, 0.0);
-  for (auto _ : state) {
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = as[p];
-      k->add_scaled_to(a.indices().data(), a.values().data(), a.num_nonzero(),
-                       0.5, out.data());
-    }
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
-void BM_SimdSquaredDistance(benchmark::State& state,
-                            const simd::SparseKernels* k, size_t nnz) {
-  std::vector<SparseVector> as = RandomVectorPool(13, 8192, nnz);
-  std::vector<SparseVector> bs = RandomVectorPool(113, 8192, nnz);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = as[p];
-      const SparseVector& b = bs[p];
-      acc += k->squared_distance(a.indices().data(), a.values().data(),
-                                 a.num_nonzero(), b.indices().data(),
-                                 b.values().data(), b.num_nonzero());
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
-// Mid-run dimension compaction: remap + left-pack a pool of rows through a
-// half-pruned 8192-wide table. Out-of-place so the seeded inputs survive
-// across iterations (the kernel itself also permits in-place).
-void BM_SimdRemapSparseView(benchmark::State& state,
-                            const simd::SparseKernels* k, size_t nnz) {
-  std::vector<SparseVector> as = RandomVectorPool(7, 8192, nnz);
-  std::vector<uint32_t> remap(8192);
-  Rng rng(77);
-  uint32_t next = 0;
-  for (size_t f = 0; f < remap.size(); ++f) {
-    remap[f] = rng.NextBelow(2) == 0 ? simd::kPrunedFeature : next++;
-  }
-  std::vector<uint32_t> out_idx(nnz);
-  std::vector<double> out_val(nnz);
-  for (auto _ : state) {
-    size_t kept = 0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = as[p];
-      kept += k->remap_sparse_view(a.indices().data(), a.values().data(),
-                                   a.num_nonzero(), remap.data(),
-                                   remap.size(), out_idx.data(),
-                                   out_val.data());
-    }
-    benchmark::DoNotOptimize(kept);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
-// Unbalanced merge: a document-sized row dotted against a centroid-sized
-// row — the kNN/k-means shape, and the one run-skipping SIMD exists for
-// (mismatch runs of ~20 on the dense side, retired 8/16 indices per vector
-// compare; balanced same-density merges have runs of ~2, where the kernels
-// fall back to their scalar probe and roughly tie).
-void BM_SimdDotSparseSparseSkew(benchmark::State& state,
-                                const simd::SparseKernels* k) {
-  std::vector<SparseVector> docs = RandomVectorPool(1, 8192, 96);
-  std::vector<SparseVector> centroids = RandomVectorPool(101, 8192, 2048);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t p = 0; p < kSparsePool; ++p) {
-      const SparseVector& a = docs[p];
-      const SparseVector& b = centroids[p];
-      acc += k->dot_sparse_sparse(a.indices().data(), a.values().data(),
-                                  a.num_nonzero(), b.indices().data(),
-                                  b.values().data(), b.num_nonzero());
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kSparsePool));
-}
-
-// Kernels the per-ISA ratio metrics cover, in bench-name / metric-name form.
-constexpr struct {
-  const char* bench;
-  const char* metric;
-} kSimdKernelNames[] = {
-    {"BM_SimdDotSparseSparse", "dot_sparse_sparse"},
-    {"BM_SimdAddScaledTo", "add_scaled_to"},
-    {"BM_SimdSquaredDistance", "squared_distance"},
-    {"BM_SimdRemapSparseView", "remap_sparse_view"},
-};
-constexpr size_t kSimdBenchNnz = 128;  // matches the wrapper benches' gates
-
-void RegisterPerIsaKernelBenches() {
-  for (simd::SimdLevel level : simd::AvailableLevels()) {
-    const simd::SparseKernels* k = simd::KernelsForLevel(level);
-    const std::string ln = simd::SimdLevelName(level);
-    auto name = [&ln](const char* bench, size_t nnz) {
-      return std::string(bench) + "/" + ln + "/" + std::to_string(nnz);
-    };
-    benchmark::RegisterBenchmark(
-        name("BM_SimdDotSparseSparse", kSimdBenchNnz).c_str(),
-        BM_SimdDotSparseSparse, k, kSimdBenchNnz);
-    // A denser regime too: shorter mismatch runs stress the scan early-out.
-    benchmark::RegisterBenchmark(
-        name("BM_SimdDotSparseSparse", 512).c_str(), BM_SimdDotSparseSparse,
-        k, size_t{512});
-    benchmark::RegisterBenchmark(
-        name("BM_SimdRemapSparseView", kSimdBenchNnz).c_str(),
-        BM_SimdRemapSparseView, k, kSimdBenchNnz);
-    benchmark::RegisterBenchmark(
-        name("BM_SimdAddScaledTo", kSimdBenchNnz).c_str(), BM_SimdAddScaledTo,
-        k, kSimdBenchNnz);
-    benchmark::RegisterBenchmark(
-        name("BM_SimdSquaredDistance", kSimdBenchNnz).c_str(),
-        BM_SimdSquaredDistance, k, kSimdBenchNnz);
-    benchmark::RegisterBenchmark(
-        ("BM_SimdDotSparseSparseSkew/" + ln).c_str(),
-        BM_SimdDotSparseSparseSkew, k);
-  }
-}
 
 // --- Text hot path: owned-string tokenize+vectorize vs the view path. ----
 
@@ -556,50 +378,16 @@ void ExportKernelRatios(const JsonExportReporter& console,
   }
 }
 
-// Per-ISA speedups over the scalar dispatch table, from the runtime-
-// registered BM_Simd* benches: "ratio.<isa>.<kernel>" = scalar wall / ISA
-// wall on identical inputs through identical indirection. Levels the host
-// lacks produce no benches, so their metrics are simply absent and their
-// baseline.json gates auto-skip (check_bench_regression reports them as
-// "skipped (not run)").
-void ExportPerIsaKernelRatios(const JsonExportReporter& console,
-                              bench::BenchReporter* reporter) {
-  for (simd::SimdLevel level :
-       {simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512}) {
-    const std::string ln = simd::SimdLevelName(level);
-    for (const auto& kernel : kSimdKernelNames) {
-      const std::string suffix = "/" + std::to_string(kSimdBenchNnz);
-      const double scalar_wall =
-          console.WallOf(std::string(kernel.bench) + "/scalar" + suffix);
-      const double isa_wall =
-          console.WallOf(std::string(kernel.bench) + "/" + ln + suffix);
-      if (scalar_wall > 0.0 && isa_wall > 0.0) {
-        reporter->AddMetric("ratio." + ln + "." + kernel.metric,
-                            scalar_wall / isa_wall);
-      }
-    }
-    const double skew_scalar =
-        console.WallOf("BM_SimdDotSparseSparseSkew/scalar");
-    const double skew_isa = console.WallOf("BM_SimdDotSparseSparseSkew/" + ln);
-    if (skew_scalar > 0.0 && skew_isa > 0.0) {
-      reporter->AddMetric("ratio." + ln + ".dot_sparse_sparse_skew",
-                          skew_scalar / skew_isa);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace zombie
 
 int main(int argc, char** argv) {
   zombie::SetLogLevel(zombie::LogLevel::kWarning);
-  zombie::RegisterPerIsaKernelBenches();
   benchmark::Initialize(&argc, argv);
   zombie::bench::BenchReporter reporter("micro");
   zombie::JsonExportReporter console(&reporter);
   benchmark::RunSpecifiedBenchmarks(&console);
   zombie::ExportKernelRatios(console, &reporter);
-  zombie::ExportPerIsaKernelRatios(console, &reporter);
   reporter.Finish();
   return 0;
 }

@@ -95,8 +95,8 @@ struct EngineOptions {
   /// must be a perfect no-op — fingerprints and decision logs byte-identical
   /// to a build without the pruner. When enabled, the mask freezes at a
   /// holdout-eval boundary from virtual-time-visible state only, so results
-  /// are still byte-identical across thread counts, cache/store modes, and
-  /// forced SIMD levels (only wall-clock and — by design — the post-freeze
+  /// are still byte-identical across thread counts and cache/store modes
+  /// (only wall-clock and — by design — the post-freeze
   /// learning trajectory change versus pruning off). Overridable per run
   /// via RunSpec::pruning_override.
   FeaturePrunerOptions pruning;

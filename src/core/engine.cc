@@ -137,8 +137,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   // the pre-pruning engine. Enabled, the pruner observes training examples
   // and freezes its mask at a holdout-eval boundary — all decisions derive
   // from virtual-time-visible state only, so the pruned run is itself
-  // byte-identical across thread counts, cache/store modes, and SIMD
-  // levels.
+  // byte-identical across thread counts and cache/store modes.
   const FeaturePrunerOptions& prune_opts = spec.pruning_override != nullptr
                                                ? *spec.pruning_override
                                                : options_.pruning;
@@ -304,8 +303,8 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   // visible when the *virtual* clock passes their timestamp, and the
   // engine consumes them only at holdout-eval boundaries (plus starvation
   // fast-forwards) — the same virtual-time-visible rule as prune freezes —
-  // so ingestion is byte-identical across thread counts, cache/store
-  // modes, and SIMD levels.
+  // so ingestion is byte-identical across thread counts and cache/store
+  // modes.
   std::unique_ptr<IncrementalGrouper> igrouper =
       streaming ? spec.incremental_grouper->Clone() : nullptr;
   size_t stream_cursor = 0;  // next unconsumed arrival

@@ -41,7 +41,7 @@ struct IngestAssignment {
 /// prefix, then one AssignOrSplit call per arriving document. All
 /// decisions are deterministic functions of (corpus, options, arrival
 /// order) — no wall time, no out-of-band randomness — so streaming runs
-/// stay byte-identical across thread counts and cache/store/SIMD modes.
+/// stay byte-identical across thread counts and cache/store modes.
 ///
 /// Instances are stateful (centroids, domain maps, token tables evolve
 /// with the stream). The engine clones the primed grouper per run, so one

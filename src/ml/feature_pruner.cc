@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ml/simd/sparse_kernels.h"
-#include "ml/simd/sparse_kernels_scalar.h"
 #include "util/logging.h"
 
 namespace zombie {
@@ -90,11 +88,11 @@ bool FeaturePruner::MaybeFreeze(Learner* learner, size_t items) {
   // order so compacted vectors stay sorted.
   remap_.assign(dim, 0);
   for (size_t r = 0; r < num_pruned; ++r) {
-    remap_[eligible[r].id] = simd::kPrunedFeature;
+    remap_[eligible[r].id] = kPrunedFeature;
   }
   uint32_t next = 0;
   for (size_t f = 0; f < dim; ++f) {
-    if (remap_[f] == simd::kPrunedFeature) continue;
+    if (remap_[f] == kPrunedFeature) continue;
     remap_[f] = next++;
   }
 
@@ -130,11 +128,9 @@ Dataset FeaturePruner::CompactDataset(const Dataset& full) const {
     const size_t n = e.x.num_nonzero();
     idx_buf.resize(n);
     val_buf.resize(n);
-    // Out-of-place scalar remap: dataset rows are read-only views and this
-    // runs once per run (at the freeze), so dispatch overhead is moot.
-    const size_t kept = simd::ScalarRemapSparseView(
-        e.x.indices_data(), e.x.values_data(), n, remap_.data(),
-        remap_.size(), idx_buf.data(), val_buf.data());
+    // Out-of-place: dataset rows are read-only views.
+    const size_t kept = e.x.RemapInto(remap_.data(), remap_.size(),
+                                      idx_buf.data(), val_buf.data());
     out.Add(SparseVectorView(idx_buf.data(), val_buf.data(), kept), e.y);
   }
   return out;

@@ -17,7 +17,7 @@ namespace zombie {
 /// more speed. All decisions derive from virtual-time-visible state only
 /// (activation counts of training examples + the learner's weight snapshot
 /// at a holdout boundary), so a pruned run is deterministic across thread
-/// counts, cache/store modes, and SIMD levels.
+/// counts and cache/store modes.
 struct FeaturePrunerOptions {
   /// Master switch. Off (the default) must be a perfect no-op: engine
   /// output is byte-identical to a build without the pruner.
@@ -65,7 +65,7 @@ struct PruneStats {
 /// accumulated |weight| / activation count, freezes a pruning mask, and
 /// compacts everything downstream through a *monotone* old-id→dense-id
 /// remap table (kept ids keep their relative order; dropped ids map to
-/// simd::kPrunedFeature). Monotonicity means compacted vectors stay sorted,
+/// kPrunedFeature). Monotonicity means compacted vectors stay sorted,
 /// so every sparse kernel runs unchanged — just over shorter rows.
 ///
 /// Determinism contract: ObserveExample is called once per training example

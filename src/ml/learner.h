@@ -67,7 +67,7 @@ class Learner {
   }
 
   /// Renumbers per-feature state through a monotone old-id→dense-id table
-  /// (simd::kPrunedFeature marks dropped ids; see SparseVector::RemapThrough
+  /// (kPrunedFeature marks dropped ids; see SparseVector::RemapThrough
   /// for the table contract). After a successful call, scoring a compacted
   /// vector must be bit-identical to scoring the original vector with the
   /// pruned features zeroed out. Returns false (leaving state untouched)
@@ -82,7 +82,7 @@ class Learner {
 
 /// Shared helper for CompactFeatures implementations: renumbers a dense
 /// per-feature state vector through the remap table. Entries mapping to
-/// simd::kPrunedFeature are dropped; the result has exactly new_dimension
+/// kPrunedFeature are dropped; the result has exactly new_dimension
 /// slots (absent old entries read as 0.0).
 inline void CompactDenseState(const std::vector<uint32_t>& old_to_new,
                               uint32_t new_dimension,
@@ -91,7 +91,7 @@ inline void CompactDenseState(const std::vector<uint32_t>& old_to_new,
   const size_t n = std::min(state->size(), old_to_new.size());
   for (size_t f = 0; f < n; ++f) {
     const uint32_t dense = old_to_new[f];
-    if (dense != simd::kPrunedFeature) out[dense] = (*state)[f];
+    if (dense != kPrunedFeature) out[dense] = (*state)[f];
   }
   state->swap(out);
 }

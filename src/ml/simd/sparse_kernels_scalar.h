@@ -4,19 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "ml/simd/kernel_entries.h"  // kPrunedFeature
-
-// Scalar reference kernels, verbatim the loop bodies that lived inline in
-// sparse_vector.h before the dispatch layer. These are the bit-identity
-// anchor: every ISA-specific kernel must reproduce their FP additions with
-// the same operands in the same order (see the contract comment in
-// sparse_vector.h), and the differential tests in tests/ml_simd_kernels_test.cc
-// compare raw result bits against these.
-//
-// This header is included only by baseline-flag TUs (sparse_vector.h callers
-// and dispatch.cc). The AVX TUs deliberately never include it — an inline
-// function compiled under -mavx512* and picked by the linker would leak
-// illegal opcodes into the scalar path on older hardware.
+// Scalar sparse kernels, the one implementation of each, called directly by
+// the sparse_vector.h wrappers. Any rewrite must perform the same FP
+// additions with the same operands in the same order (see the contract
+// comment in sparse_vector.h); tests/ml_simd_kernels_test.cc checks the
+// sparse·sparse dot bit for bit against a classic three-way merge.
 
 namespace zombie {
 namespace simd {
@@ -67,67 +59,6 @@ inline double ScalarDotSparseSparse(const uint32_t* ai, const double* av,
       if (++i == na || ++j == nb) return sum;
     }
   }
-}
-
-/// out[indices[i]] += scale * values[i]. Caller has grown `out` to cover
-/// dimension() already. Indices are strictly increasing, so every write
-/// lands in a distinct slot.
-inline void ScalarAddScaledTo(const uint32_t* indices, const double* values,
-                              size_t n, double scale, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[indices[i]] += scale * values[i];
-  }
-}
-
-/// Three-way merge squared distance; handles na == 0 / nb == 0 via the
-/// tail loops.
-inline double ScalarSquaredDistance(const uint32_t* ai, const double* av,
-                                    size_t na, const uint32_t* bi,
-                                    const double* bv, size_t nb) {
-  double s = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < na && j < nb) {
-    const uint32_t a = ai[i];
-    const uint32_t b = bi[j];
-    if (a == b) {
-      const double d = av[i] - bv[j];
-      s += d * d;
-      ++i;
-      ++j;
-    } else if (a < b) {
-      s += av[i] * av[i];
-      ++i;
-    } else {
-      s += bv[j] * bv[j];
-      ++j;
-    }
-  }
-  for (; i < na; ++i) s += av[i] * av[i];
-  for (; j < nb; ++j) s += bv[j] * bv[j];
-  return s;
-}
-
-/// Reference remap compaction (contract in sparse_kernels.h next to
-/// RemapSparseViewFn). No FP arithmetic — the bit-identity obligation on the
-/// ISA variants is to emit exactly this kept sequence. The in-place case is
-/// trivially safe here: `out` never passes `i`.
-inline size_t ScalarRemapSparseView(const uint32_t* indices,
-                                    const double* values, size_t n,
-                                    const uint32_t* remap, size_t remap_size,
-                                    uint32_t* out_indices,
-                                    double* out_values) {
-  size_t out = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t idx = indices[i];
-    if (idx >= remap_size) break;  // sorted: the rest are out of range too
-    const uint32_t dense = remap[idx];
-    if (dense == kPrunedFeature) continue;
-    out_indices[out] = dense;
-    out_values[out] = values[i];
-    ++out;
-  }
-  return out;
 }
 
 }  // namespace simd

@@ -8,9 +8,9 @@
 
 namespace zombie {
 
-// The hot kernels (Dot, AddScaledTo, SquaredDistance, norms) live inline in
-// sparse_vector.h — see the kernel note there. This TU keeps the cold
-// paths: lookup, construction, formatting.
+// The hot kernels (Dot, norms) live inline in sparse_vector.h — see the
+// kernel note there. This TU keeps the cold paths: lookup, construction,
+// remapping, formatting.
 
 double SparseVectorView::Get(uint32_t index) const {
   const uint32_t* end = indices_ + size_;
@@ -33,6 +33,24 @@ bool SparseVectorView::operator==(SparseVectorView other) const {
     if (values_[i] != other.values_[i]) return false;
   }
   return true;
+}
+
+size_t SparseVectorView::RemapInto(const uint32_t* old_to_new,
+                                   size_t table_size, uint32_t* out_indices,
+                                   double* out_values) const {
+  // No FP arithmetic, only data movement. In place is safe: `out` never
+  // passes `i`.
+  size_t out = 0;
+  for (size_t i = 0; i < size_; ++i) {
+    const uint32_t idx = indices_[i];
+    if (idx >= table_size) break;  // sorted: the rest are out of range too
+    const uint32_t dense = old_to_new[idx];
+    if (dense == kPrunedFeature) continue;
+    out_indices[out] = dense;
+    out_values[out] = values_[i];
+    ++out;
+  }
+  return out;
 }
 
 std::string SparseVectorView::ToString() const {
@@ -88,21 +106,8 @@ void SparseVector::Scale(double factor) {
 
 void SparseVector::RemapThrough(const uint32_t* old_to_new,
                                 size_t table_size) {
-  const size_t n = indices_.size();
-  if (n == 0) return;
-  size_t kept;
-#if defined(ZOMBIE_SIMD_ENABLED)
-  if (n >= simd::kSimdMinEntries) {
-    kept = simd::ActiveKernels().remap_sparse_view(
-        indices_.data(), values_.data(), n, old_to_new, table_size,
-        indices_.data(), values_.data());
-  } else  // NOLINT(readability/braces) — pairs with the block below
-#endif
-  {
-    kept = simd::ScalarRemapSparseView(indices_.data(), values_.data(), n,
-                                       old_to_new, table_size,
+  const size_t kept = view().RemapInto(old_to_new, table_size,
                                        indices_.data(), values_.data());
-  }
   indices_.resize(kept);
   values_.resize(kept);
 }

@@ -9,10 +9,14 @@
 #include <utility>
 #include <vector>
 
-#include "ml/simd/sparse_kernels.h"
 #include "ml/simd/sparse_kernels_scalar.h"
 
 namespace zombie {
+
+/// Remap-table sentinel for a pruned feature id: an old id whose entry in an
+/// old-id→dense-id table is kPrunedFeature is dropped by
+/// SparseVectorView::RemapInto and by CompactFeatures implementations.
+constexpr uint32_t kPrunedFeature = 0xffffffffu;
 
 /// Non-owning view of a sparse feature vector: parallel (index, value)
 /// spans sorted by index with no duplicates and no explicit zeros. This is
@@ -40,8 +44,8 @@ class SparseVectorView {
   const double* values_data() const { return values_; }
 
   /// Largest index + 1, or 0 when empty. Returns size_t: an entry at index
-  /// UINT32_MAX has dimension 2^32, which would wrap to 0 in uint32_t and
-  /// make AddScaledTo skip its resize and write out of bounds.
+  /// UINT32_MAX has dimension 2^32, which would wrap to 0 in uint32_t (and a
+  /// caller sizing a dense buffer from it would write out of bounds).
   size_t dimension() const {
     return size_ == 0 ? 0 : static_cast<size_t>(indices_[size_ - 1]) + 1;
   }
@@ -49,7 +53,7 @@ class SparseVectorView {
   /// Value at a feature index (0.0 if absent); binary search.
   double Get(uint32_t index) const;
 
-  // The four hot kernels below are defined inline at the bottom of this
+  // The hot kernels below are defined inline at the bottom of this
   // header. Raw-pointer kernels on a view are inlinable at every call site
   // — unlike the vector-member originals, which always cost an opaque
   // cross-TU call — and inlining is worth more than any in-kernel trick on
@@ -63,17 +67,22 @@ class SparseVectorView {
   /// Dot product with another sparse vector (run-skipping merge join).
   inline double Dot(SparseVectorView other) const;
 
-  /// dense[i] += scale * this[i]; grows `dense` as needed.
-  inline void AddScaledTo(double scale, std::vector<double>* dense) const;
-
   inline double L2Norm() const;
   inline double L1Norm() const;
 
-  /// Squared Euclidean distance to another sparse vector.
-  inline double SquaredDistance(SparseVectorView other) const;
-
   /// Cosine similarity in [-1, 1]; 0 if either vector is empty/zero.
   double CosineSimilarity(SparseVectorView other) const;
+
+  /// Compacts this view through a monotone old-id→dense-id remap table into
+  /// `out_indices`/`out_values` (each with room for num_nonzero() entries)
+  /// and returns the kept count. Entries mapping to kPrunedFeature are
+  /// dropped, and so are entries at ids >= `table_size` (indices are sorted,
+  /// so they form a suffix); kept entries are renumbered to their dense ids.
+  /// Because the table is monotone over kept ids, the output stays sorted.
+  /// The outputs may alias this view's storage: the write cursor never
+  /// passes the read cursor.
+  size_t RemapInto(const uint32_t* old_to_new, size_t table_size,
+                   uint32_t* out_indices, double* out_values) const;
 
   /// Content equality (same indices and values).
   bool operator==(SparseVectorView other) const;
@@ -134,25 +143,16 @@ class SparseVector {
     return view().Dot(dense);
   }
   double Dot(SparseVectorView other) const { return view().Dot(other); }
-  void AddScaledTo(double scale, std::vector<double>* dense) const {
-    view().AddScaledTo(scale, dense);
-  }
 
   /// Multiplies all values in place.
   void Scale(double factor);
 
   /// Compacts this vector in place through a monotone old-id→dense-id remap
-  /// table (the RemapSparseView kernel): entries mapping to
-  /// simd::kPrunedFeature and entries at ids >= `table_size` are dropped,
-  /// kept entries are renumbered to their dense ids. The table must be
-  /// monotone over kept ids so the result stays sorted.
+  /// table; see SparseVectorView::RemapInto for the table contract.
   void RemapThrough(const uint32_t* old_to_new, size_t table_size);
 
   double L2Norm() const { return view().L2Norm(); }
   double L1Norm() const { return view().L1Norm(); }
-  double SquaredDistance(SparseVectorView other) const {
-    return view().SquaredDistance(other);
-  }
   double CosineSimilarity(SparseVectorView other) const {
     return view().CosineSimilarity(other);
   }
@@ -177,13 +177,8 @@ class SparseVector {
 // accumulator flips its sign bit.) The rewrites therefore move *index*
 // bookkeeping, never accumulation.
 //
-// The loop bodies live in ml/simd/sparse_kernels_scalar.h; when the binary
-// is built with ZOMBIE_SIMD the wrappers route large inputs through the
-// runtime ISA dispatch table (ml/simd/sparse_kernels.h), whose AVX2/AVX-512
-// entries are bit-identical to scalar by the same contract. Small inputs
-// keep the directly-inlined scalar loop: the function-pointer hop costs more
-// than SIMD saves there, and since both paths agree bit-for-bit the
-// threshold is unobservable in results.
+// The loop bodies live in ml/simd/sparse_kernels_scalar.h and are called
+// directly.
 // ---------------------------------------------------------------------------
 
 inline double SparseVectorView::Dot(const std::vector<double>& dense) const {
@@ -197,35 +192,13 @@ inline double SparseVectorView::Dot(const std::vector<double>& dense) const {
     limit = static_cast<size_t>(
         std::lower_bound(indices_, indices_ + size_, bound) - indices_);
   }
-  // Always scalar: a gathered SIMD dot never beat this two-load
-  // multiply-accumulate at any nnz (EXPERIMENTS.md, SIMD kernels).
   return simd::ScalarDotSparseDense(indices_, values_, limit, dense.data());
 }
 
 inline double SparseVectorView::Dot(SparseVectorView other) const {
   if (size_ == 0 || other.size_ == 0) return 0.0;
-#if defined(ZOMBIE_SIMD_ENABLED)
-  if (size_ + other.size_ >= 2 * simd::kSimdMinEntries) {
-    return simd::ActiveKernels().dot_sparse_sparse(
-        indices_, values_, size_, other.indices_, other.values_, other.size_);
-  }
-#endif
   return simd::ScalarDotSparseSparse(indices_, values_, size_, other.indices_,
                                      other.values_, other.size_);
-}
-
-inline void SparseVectorView::AddScaledTo(double scale,
-                                          std::vector<double>* dense) const {
-  if (size_ == 0) return;
-  if (dense->size() < dimension()) dense->resize(dimension(), 0.0);
-#if defined(ZOMBIE_SIMD_ENABLED)
-  if (size_ >= simd::kSimdMinEntries) {
-    simd::ActiveKernels().add_scaled_to(indices_, values_, size_, scale,
-                                        dense->data());
-    return;
-  }
-#endif
-  simd::ScalarAddScaledTo(indices_, values_, size_, scale, dense->data());
 }
 
 inline double SparseVectorView::L2Norm() const {
@@ -238,21 +211,6 @@ inline double SparseVectorView::L1Norm() const {
   double s = 0.0;
   for (size_t i = 0; i < size_; ++i) s += std::abs(values_[i]);
   return s;
-}
-
-inline double SparseVectorView::SquaredDistance(SparseVectorView other) const {
-  // Merge with identical accumulation order to the classic three-way merge;
-  // see ScalarSquaredDistance for the loop-shape rationale. (Unlike Dot,
-  // every element accumulates, so there is no run to skip; SIMD levels can
-  // still vectorize the independent squares between the ordered adds.)
-#if defined(ZOMBIE_SIMD_ENABLED)
-  if (size_ + other.size_ >= 2 * simd::kSimdMinEntries) {
-    return simd::ActiveKernels().squared_distance(
-        indices_, values_, size_, other.indices_, other.values_, other.size_);
-  }
-#endif
-  return simd::ScalarSquaredDistance(indices_, values_, size_, other.indices_,
-                                     other.values_, other.size_);
 }
 
 }  // namespace zombie

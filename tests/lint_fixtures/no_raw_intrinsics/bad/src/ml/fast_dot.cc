@@ -1,9 +1,9 @@
-#include <immintrin.h>
+#include <x86intrin.h>
 
 namespace zombie {
 
-// BAD: raw intrinsics in src/ml/ but outside src/ml/simd/ — no cpuid gate
-// guards this code path and no per-TU ISA flag scopes the codegen.
+// BAD: raw intrinsics in src/ml/ — no cpuid gate guards this code path and
+// no per-TU ISA flag scopes the codegen.
 double FastDot(const double* a, const double* b) {
   __m256d va = _mm256_loadu_pd(a);
   __m256d vb = _mm256_loadu_pd(b);

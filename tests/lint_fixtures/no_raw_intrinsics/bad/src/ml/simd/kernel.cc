@@ -1,10 +1,9 @@
-#include <immintrin.h>
+#include <x86intrin.h>
 
 namespace zombie {
 
-// src/ml/simd/ is the one home for vendor intrinsics: the dispatch table
-// only routes here after cpuid confirms the ISA, and the TU carries the
-// matching -m flags plus -ffp-contract=off.
+// BAD: src/ml/simd/ holds only the scalar sparse kernels; it is no longer an
+// exempt home for vendor intrinsics.
 double Sum4(const double* v) {
   __m256d lanes = _mm256_loadu_pd(v);
   double out[4];

@@ -2,8 +2,8 @@ namespace zombie {
 
 double KernelDot(const double* a, const double* b, unsigned long n);
 
-// Outside src/ml/simd/ the kernels are reached through the dispatch
-// declarations only — no intrinsics, no <*intrin.h> include.
+// Kernels are plain scalar functions — no intrinsics, no <*intrin.h>
+// include.
 double Score(const double* a, const double* b, unsigned long n) {
   return KernelDot(a, b, n);
 }

@@ -152,7 +152,7 @@ TEST_P(EveryLearnerTest, CompactFeaturesPreservesScoresBitExactly) {
   // Monotone remap: drop 3, 7 and the noise block [10, 13) so kept dense
   // ids actually shift (not an identity prefix).
   const uint32_t kDim = 13;
-  std::vector<uint32_t> old_to_new(kDim, simd::kPrunedFeature);
+  std::vector<uint32_t> old_to_new(kDim, kPrunedFeature);
   uint32_t next = 0;
   for (uint32_t f = 0; f < 10; ++f) {
     if (f == 3 || f == 7) continue;
@@ -171,7 +171,7 @@ TEST_P(EveryLearnerTest, CompactFeaturesPreservesScoresBitExactly) {
     std::vector<std::pair<uint32_t, double>> dense;
     for (size_t i = 0; i < e.x.num_nonzero(); ++i) {
       const uint32_t f = e.x.index_at(i);
-      if (f >= kDim || old_to_new[f] == simd::kPrunedFeature) continue;
+      if (f >= kDim || old_to_new[f] == kPrunedFeature) continue;
       keep.emplace_back(f, e.x.value_at(i));
       dense.emplace_back(old_to_new[f], e.x.value_at(i));
     }

@@ -656,12 +656,12 @@ TEST_F(ZombieLintTest, RawMmapInUtilAndAllowEscapeAreFine) {
   EXPECT_EQ(run.exit_code, 0) << run.output;
 }
 
-TEST_F(ZombieLintTest, RawIntrinsicsOutsideSimdFlagged) {
+TEST_F(ZombieLintTest, RawIntrinsicsInSrcFlagged) {
   // Both spellings must fire: the <*intrin.h> include and the _mm*/__m256
   // identifiers (caught even without the include, e.g. via a transitive
   // header).
   WriteFile("src/ml/fast_path.cc",
-            "#include <immintrin.h>\n"
+            "#include <x86intrin.h>\n"
             "namespace zombie {\n"
             "double Sum(const double* v) {\n"
             "  __m256d lanes = _mm256_loadu_pd(v);\n"
@@ -675,21 +675,30 @@ TEST_F(ZombieLintTest, RawIntrinsicsOutsideSimdFlagged) {
   EXPECT_NE(run.output.find("no-raw-intrinsics"), std::string::npos)
       << run.output;
   // The include line and at least one identifier line both report.
-  EXPECT_NE(run.output.find("immintrin.h"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("x86intrin.h"), std::string::npos) << run.output;
   EXPECT_NE(run.output.find("_mm256_loadu_pd"), std::string::npos)
       << run.output;
 }
 
-TEST_F(ZombieLintTest, RawIntrinsicsInSimdDirAndAllowEscapeAreFine) {
-  // src/ml/simd/ is the allowed zone; elsewhere a vetted line can opt out
-  // in place with allow().
+TEST_F(ZombieLintTest, RawIntrinsicsInSimdDirFlagged) {
+  // src/ml/simd/ holds only scalar kernels and gets no exemption.
   WriteFile("src/ml/simd/kernel.cc",
-            "#include <immintrin.h>\n"
+            "#include <x86intrin.h>\n"
             "namespace zombie {\n"
             "double Lane0(const double* v) {\n"
             "  return _mm256_cvtsd_f64(_mm256_loadu_pd(v));\n"
             "}\n"
             "}  // namespace zombie\n");
+  LintRun run = RunLint(src());
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("src/ml/simd/kernel.cc"), std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("no-raw-intrinsics"), std::string::npos)
+      << run.output;
+}
+
+TEST_F(ZombieLintTest, RawIntrinsicsAllowEscapeIsFine) {
+  // A vetted line can opt out in place with allow().
   WriteFile("src/core/vetted.cc",
             "namespace zombie {\n"
             "void Hint(const char* p) {\n"

@@ -63,53 +63,20 @@ def median(xs):
     return xs[mid] if n % 2 else (xs[mid - 1] + xs[mid]) / 2.0
 
 
-#: ISA levels bench_micro can emit per-ISA ratios for, in dispatch order.
-SIMD_ISAS = ("avx2", "avx512")
-
-
 def kernel_ratio_rows(metrics):
     """Extracts sorted (name, speedup) rows from "ratio.*" bench metrics.
 
     bench_micro emits one "ratio.<kernel>" metric per old-vs-new kernel
     pair (old wall / new wall, >1 means the shipped kernel is faster); see
-    ExportKernelRatios in bench/bench_micro.cc.  Per-ISA dispatch ratios
-    ("ratio.<isa>.<kernel>") are pivoted separately by per_isa_ratio_rows.
+    ExportKernelRatios in bench/bench_micro.cc.
     """
     rows = []
     for name, value in sorted(metrics.items()):
         bench, _, metric = name.partition("/")
         if not metric.startswith("ratio."):
             continue
-        rest = metric[len("ratio."):]
-        if rest.partition(".")[0] in SIMD_ISAS:
-            continue
-        rows.append((f"{bench}/{rest}", value))
+        rows.append((f"{bench}/{metric[len('ratio.'):]}", value))
     return rows
-
-
-def per_isa_ratio_rows(metrics):
-    """Pivots "ratio.<isa>.<kernel>" metrics into (kernel, {isa: speedup}).
-
-    bench_micro runs each sparse kernel once per runtime-dispatchable ISA
-    level and emits scalar wall / ISA wall (see ExportPerIsaKernelRatios);
-    >1.00x means the SIMD kernel beats the bit-identical scalar reference
-    on that machine.  Levels the runner cannot execute are simply absent.
-    Returns (isas_present, rows) with both sorted for stable output.
-    """
-    pivot = {}
-    isas_present = []
-    for name, value in sorted(metrics.items()):
-        metric = name.partition("/")[2]
-        if not metric.startswith("ratio."):
-            continue
-        isa, dot, kernel = metric[len("ratio."):].partition(".")
-        if not dot or isa not in SIMD_ISAS:
-            continue
-        pivot.setdefault(kernel, {})[isa] = value
-        if isa not in isas_present:
-            isas_present.append(isa)
-    isas_present.sort(key=SIMD_ISAS.index)
-    return isas_present, sorted(pivot.items())
 
 
 def evaluate_metric_gates(gates, metrics, benches_run):
@@ -124,31 +91,14 @@ def evaluate_metric_gates(gates, metrics, benches_run):
     every job runs every bench); absent holds gates whose bench DID run
     but never emitted the metric, which is a hard error — a renamed or
     dropped AddMetric call would otherwise silently un-gate the bound.
-    One conditional-emission family is tolerated: "ratio.<isa>.*" gates
-    whose ISA produced no metrics at all in this run go to missing, not
-    absent — the runner's CPU lacks the level, so AvailableLevels()
-    skipped the whole family, which is not a renamed metric.
     """
     rows = []
     failures = []
     missing = []
     absent = []
-    isas_emitted = {
-        name.partition("/")[2].split(".")[1]
-        for name in metrics
-        if name.partition("/")[2].startswith("ratio.")
-        and name.partition("/")[2].split(".")[1] in SIMD_ISAS
-    }
     for name, gate in sorted(gates.items()):
         if name not in metrics:
-            bench = name.partition("/")[0]
-            metric = name.partition("/")[2]
-            isa = metric.split(".")[1] if metric.startswith("ratio.") else None
-            if bench not in benches_run:
-                missing.append(name)
-            elif isa in SIMD_ISAS and isa not in isas_emitted:
-                # bench_micro ran but this runner cannot dispatch the ISA;
-                # AvailableLevels() skipped the whole level, not one metric.
+            if name.partition("/")[0] not in benches_run:
                 missing.append(name)
             else:
                 absent.append(name)
@@ -197,21 +147,8 @@ def print_kernel_ratios(rows):
     print(f"  median: {median(speedups):.2f}x")
 
 
-def print_per_isa_ratios(isas, rows):
-    if not rows:
-        return
-    print(f"\nper-ISA kernel speedups vs scalar ({', '.join(isas)}):")
-    width = max(len(kernel) for kernel, _ in rows)
-    for kernel, by_isa in rows:
-        cells = "  ".join(
-            f"{isa} {by_isa[isa]:.2f}x" if isa in by_isa else f"{isa} —"
-            for isa in isas)
-        print(f"  {kernel:<{width}}  {cells}")
-
-
 def write_step_summary(scale, tolerance, table_rows, failures, kernel_rows,
-                       gate_rows=(), gate_missing=(), isa_table=None,
-                       gate_absent=()):
+                       gate_rows=(), gate_missing=(), gate_absent=()):
     """Appends a markdown ratio table to $GITHUB_STEP_SUMMARY if set."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not path:
@@ -247,21 +184,6 @@ def write_step_summary(scale, tolerance, table_rows, failures, kernel_rows,
             lines.append(f"| `{name}` | {speedup:.2f}x |")
         speedups = [s for _, s in kernel_rows]
         lines.append(f"| **median** | **{median(speedups):.2f}x** |")
-    if isa_table and isa_table[1]:
-        isas, rows = isa_table
-        lines += ["", "## Per-ISA kernel speedups", "",
-                  "Scalar wall over SIMD wall for each sparse kernel at "
-                  "every ISA level this runner can dispatch to, measured in "
-                  "the same bench_micro run (machine speed cancels; >1.00x "
-                  "means the SIMD kernel is faster than the bit-identical "
-                  "scalar reference).", "",
-                  "| kernel | " + " | ".join(isas) + " |",
-                  "|---|" + "---|" * len(isas)]
-        for kernel, by_isa in rows:
-            cells = " | ".join(
-                f"{by_isa[isa]:.2f}x" if isa in by_isa else "—"
-                for isa in isas)
-            lines.append(f"| `{kernel}` | {cells} |")
     if gate_rows or gate_missing or gate_absent:
         lines += ["", "## Metric gates", "",
                   "Machine-independent bench metrics (ratios, rates) "
@@ -302,7 +224,6 @@ def main():
     baseline = baseline_doc["entries"]
     current, metrics, benches_run = load_results(args.results)
     kernel_rows = kernel_ratio_rows(metrics)
-    isa_table = per_isa_ratio_rows(metrics)
     gate_rows, gate_failures, gate_missing, gate_absent = (
         evaluate_metric_gates(
             baseline_doc.get("metric_gates", {}), metrics, benches_run))
@@ -342,11 +263,9 @@ def main():
         print(f"  {name}: raw {ratio:.2f}x, normalized {normalized:.2f}x{flag}")
 
     print_kernel_ratios(kernel_rows)
-    print_per_isa_ratios(*isa_table)
     print_metric_gates(gate_rows, gate_missing, gate_absent)
     write_step_summary(scale, args.tolerance, table_rows, failures,
-                       kernel_rows, gate_rows, gate_missing, isa_table,
-                       gate_absent)
+                       kernel_rows, gate_rows, gate_missing, gate_absent)
 
     if failures:
         print(f"\nFAIL: {len(failures)} entr{'y' if len(failures) == 1 else 'ies'} "

@@ -22,10 +22,11 @@
 //                       [--store-path=feat.zfs]
 //                       [--trace-out=...] [--metrics-out=...]
 //                       [--decisions-out=...]
-//   zombie_cli simd-level [--print=active|detected]
 //
-// Flags are --key=value; unknown flags fail loudly. When --corpus is given
-// it is loaded from disk, otherwise --task/--docs/--seed generate one.
+// Flags are --key=value; unknown flags and out-of-range values (a negative
+// count, --docs=0, a non-positive --ingest-rate) end in a one-line error and
+// exit code 1. When --corpus is given it is loaded from disk, otherwise
+// --task/--docs/--seed generate one.
 // The three --*-out flags enable the matching observability sink for the
 // run and write it on exit: --trace-out produces Chrome/Perfetto-loadable
 // trace JSON, --metrics-out a metrics snapshot, --decisions-out the
@@ -52,13 +53,11 @@
 // documents per virtual second (default 100), --stream-order the arrival
 // permutation, --stream-seed the schedule's jitter seed. Streaming runs
 // are deterministic given these flags: fingerprints and decision logs are
-// byte-identical across --threads, --eval-threads, --cache/--store-path,
-// and forced SIMD levels. Requires --grouper=kmeans|metadata|token.
+// byte-identical across --threads, --eval-threads and --cache/--store-path.
+// Requires --grouper=kmeans|metadata|token.
 //
 // --fingerprint-out (run only) writes each trial's canonical RunResult
-// fingerprint (see RunResult::Fingerprint); the simd-dispatch CI job
-// byte-compares these files across forced ZOMBIE_SIMD_LEVEL runs.
-// `simd-level` reports how SIMD dispatch resolved on this machine/binary.
+// fingerprint (see RunResult::Fingerprint), for byte-comparing runs.
 
 #include <algorithm>
 #include <cstdio>
@@ -94,7 +93,6 @@
 #include "ml/feature_pruner.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
-#include "ml/simd/simd_level.h"
 #include "ml/pegasos_svm.h"
 #include "ml/perceptron.h"
 #include "obs/obs.h"
@@ -141,6 +139,19 @@ class Flags {
     return it == values_.end() ? fallback : std::atoll(it->second.c_str());
   }
 
+  /// A count flag, or `fallback` when absent. A value below `min` is an
+  /// error: a negative count would otherwise wrap to a huge size_t.
+  [[nodiscard]] StatusOr<size_t> GetCount(const std::string& key,
+                                          size_t fallback,
+                                          size_t min = 0) const {
+    const int64_t value = GetInt(key, static_cast<int64_t>(fallback));
+    if (value < static_cast<int64_t>(min)) {
+      return Status::InvalidArgument(
+          StrFormat("--%s must be >= %zu", key.c_str(), min));
+    }
+    return static_cast<size_t>(value);
+  }
+
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
     consumed_.insert(key);
@@ -184,18 +195,18 @@ StatusOr<Corpus> ObtainCorpus(const Flags& flags) {
   if (!path.empty()) return LoadCorpus(path);
   ZOMBIE_ASSIGN_OR_RETURN(TaskKind kind,
                           ParseTaskKind(flags.GetString("task", "webcat")));
-  Task task = MakeTask(kind,
-                       static_cast<size_t>(flags.GetInt("docs", 12000)),
-                       static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  // --seed is read before --docs is checked, so a bad --docs is reported
+  // as such and not as an unconsumed --seed.
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  ZOMBIE_ASSIGN_OR_RETURN(size_t docs, flags.GetCount("docs", 12000, 1));
+  Task task = MakeTask(kind, docs, seed);
   return std::move(task.corpus);
 }
 
 /// --groups, checked before any grouper is built (every grouper requires
 /// at least one group).
 StatusOr<size_t> GroupCountFromFlags(const Flags& flags) {
-  int64_t groups = flags.GetInt("groups", 32);
-  if (groups < 1) return Status::InvalidArgument("--groups must be >= 1");
-  return static_cast<size_t>(groups);
+  return flags.GetCount("groups", 32, 1);
 }
 
 std::unique_ptr<Grouper> MakeGrouperFromFlags(const Flags& flags,
@@ -289,15 +300,14 @@ std::unique_ptr<Learner> MakeLearnerFromFlags(const Flags& flags) {
 StatusOr<EngineOptions> MakeEngineOptionsFromFlags(const Flags& flags) {
   EngineOptions opts;
   opts.seed = static_cast<uint64_t>(flags.GetInt("run_seed", 1));
-  opts.holdout_size = static_cast<size_t>(flags.GetInt("holdout", 400));
-  opts.eval_every = static_cast<size_t>(flags.GetInt("eval_every", 25));
+  ZOMBIE_ASSIGN_OR_RETURN(opts.holdout_size, flags.GetCount("holdout", 400));
+  ZOMBIE_ASSIGN_OR_RETURN(opts.eval_every, flags.GetCount("eval_every", 25));
   opts.tune_threshold = flags.GetBool("tune_threshold");
-  int64_t budget = flags.GetInt("max_items", -1);
-  if (budget > 0) opts.stop.max_items = static_cast<size_t>(budget);
-  int64_t eval_threads = flags.GetInt("eval-threads", 1);
-  if (eval_threads > 1) {
-    opts.holdout_eval_threads = static_cast<size_t>(eval_threads);
-  }
+  // 0 (the default) leaves the item budget unlimited.
+  ZOMBIE_ASSIGN_OR_RETURN(size_t budget, flags.GetCount("max_items", 0));
+  if (budget > 0) opts.stop.max_items = budget;
+  ZOMBIE_ASSIGN_OR_RETURN(opts.holdout_eval_threads,
+                          flags.GetCount("eval-threads", 1));
   // Online feature pruning preset (ml/feature_pruner.h). Unknown values
   // are reported and ignored, matching the prefetch-flag idiom.
   std::string prune = flags.GetString("prune", "off");
@@ -318,13 +328,13 @@ StatusOr<EngineOptions> MakeEngineOptionsFromFlags(const Flags& flags) {
 /// Speculative prefetch knobs (wall-clock-only; featureeng/
 /// extraction_service.h). Prefetch needs the feature cache to store into,
 /// so --prefetch-threads without --cache is reported and disabled.
-PrefetchOptions MakePrefetchOptionsFromFlags(const Flags& flags,
-                                             bool use_cache) {
+StatusOr<PrefetchOptions> MakePrefetchOptionsFromFlags(const Flags& flags,
+                                                       bool use_cache) {
   PrefetchOptions prefetch;
-  int64_t threads = flags.GetInt("prefetch-threads", 0);
-  int64_t arms = flags.GetInt("prefetch-arms", 4);
-  if (threads > 0) prefetch.threads = static_cast<size_t>(threads);
-  if (arms > 0) prefetch.max_arms = static_cast<size_t>(arms);
+  ZOMBIE_ASSIGN_OR_RETURN(prefetch.threads,
+                          flags.GetCount("prefetch-threads", 0));
+  ZOMBIE_ASSIGN_OR_RETURN(prefetch.max_arms,
+                          flags.GetCount("prefetch-arms", 4, 1));
   if (prefetch.threads > 0 && !use_cache) {
     std::fprintf(stderr,
                  "--prefetch-threads requires --cache; prefetch disabled\n");
@@ -448,10 +458,11 @@ int CmdGenerate(const Flags& flags) {
     return 1;
   }
   std::string out = flags.GetString("out", "corpus.zmbc");
-  Task task = MakeTask(kind.value(),
-                       static_cast<size_t>(flags.GetInt("docs", 12000)),
-                       static_cast<uint64_t>(flags.GetInt("seed", 42)));
-  ZCHECK_OK(flags.CheckAllConsumed());
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  StatusOr<size_t> docs = flags.GetCount("docs", 12000, 1);
+  if (!docs.ok()) return Fail(docs.status());
+  if (Status st = flags.CheckAllConsumed(); !st.ok()) return Fail(st);
+  Task task = MakeTask(kind.value(), docs.value(), seed);
   Status st = SaveCorpus(task.corpus, out);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -465,7 +476,7 @@ int CmdGenerate(const Flags& flags) {
 
 int CmdInspect(const Flags& flags) {
   StatusOr<Corpus> corpus = ObtainCorpus(flags);
-  ZCHECK_OK(flags.CheckAllConsumed());
+  if (Status st = flags.CheckAllConsumed(); !st.ok()) return Fail(st);
   if (!corpus.ok()) {
     std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
     return 1;
@@ -504,9 +515,14 @@ int CmdRun(const Flags& flags) {
   }
   bool with_baseline = flags.GetBool("baseline");
   bool use_cache = flags.GetBool("cache");
-  PrefetchOptions prefetch = MakePrefetchOptionsFromFlags(flags, use_cache);
-  size_t trials = static_cast<size_t>(flags.GetInt("trials", 1));
-  size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
+  StatusOr<PrefetchOptions> prefetch =
+      MakePrefetchOptionsFromFlags(flags, use_cache);
+  if (!prefetch.ok()) return Fail(prefetch.status());
+  StatusOr<size_t> trials = flags.GetCount("trials", 1, 1);
+  if (!trials.ok()) return Fail(trials.status());
+  // 0 means one worker per hardware thread (ExperimentDriverOptions).
+  StatusOr<size_t> threads = flags.GetCount("threads", 1);
+  if (!threads.ok()) return Fail(threads.status());
   std::string csv = flags.GetString("csv", "");
   std::string fingerprint_out = flags.GetString("fingerprint-out", "");
   std::string store_path = flags.GetString("store-path", "");
@@ -520,7 +536,12 @@ int CmdRun(const Flags& flags) {
   uint64_t stream_seed = static_cast<uint64_t>(flags.GetInt("stream-seed", 17));
   ObsOutputs obs_out = GetObsOutputs(flags);
   if (Status st = flags.CheckAllConsumed(); !st.ok()) return Fail(st);
-  if (trials == 0) trials = 1;
+  if (!(stream_fraction >= 0.0 && stream_fraction < 1.0)) {
+    return Fail(Status::InvalidArgument("--stream must be in [0, 1)"));
+  }
+  if (!(ingest_rate > 0.0)) {
+    return Fail(Status::InvalidArgument("--ingest-rate must be > 0"));
+  }
 
   // The store retains everything by default; --store-gc keeps only this
   // run's pipeline fingerprint (drops records from other feature code).
@@ -538,10 +559,6 @@ int CmdRun(const Flags& flags) {
   std::unique_ptr<ScheduledCorpusSource> source;
   GroupingResult grouping;
   if (streaming) {
-    if (stream_fraction >= 1.0) {
-      std::fprintf(stderr, "--stream must be in (0, 1)\n");
-      return 1;
-    }
     igrouper =
         StreamingGrouper(flags, groups.value(), grouper.get(), &owned_igrouper);
     if (igrouper == nullptr) {
@@ -577,11 +594,11 @@ int CmdRun(const Flags& flags) {
   FeatureCache cache;
   std::unique_ptr<ObsContext> obs = MakeObsContext(obs_out);
   ExperimentDriverOptions dopts;
-  dopts.num_threads = threads;
+  dopts.num_threads = threads.value();
   dopts.engine = opts;
   dopts.engine.obs = obs.get();
   dopts.cache = use_cache ? &cache : nullptr;
-  dopts.prefetch = prefetch;
+  dopts.prefetch = prefetch.value();
   dopts.store = store.get();
   dopts.stream = source.get();
   dopts.incremental_grouper = igrouper;
@@ -591,7 +608,9 @@ int CmdRun(const Flags& flags) {
   grid.groupings = {&grouping};
   grid.rewards = {reward.get()};
   grid.learners = {learner.get()};
-  for (size_t t = 0; t < trials; ++t) grid.seeds.push_back(opts.seed + t);
+  for (size_t t = 0; t < trials.value(); ++t) {
+    grid.seeds.push_back(opts.seed + t);
+  }
   StatusOr<std::vector<TrialResult>> trials_or = driver.RunGrid(grid);
   if (!trials_or.ok()) return Fail(trials_or.status());
   for (const TrialResult& t : trials_or.value()) {
@@ -629,9 +648,7 @@ int CmdRun(const Flags& flags) {
     std::printf("curve written to %s\n", csv.c_str());
   }
   if (!fingerprint_out.empty()) {
-    // Canonical deterministic fingerprints for every trial; the SIMD
-    // forced-dispatch CI matrix byte-compares these files across
-    // ZOMBIE_SIMD_LEVEL runs.
+    // Canonical deterministic fingerprints for every trial.
     std::FILE* f = std::fopen(fingerprint_out.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", fingerprint_out.c_str());
@@ -661,7 +678,9 @@ int CmdSession(const Flags& flags) {
   Corpus corpus = std::move(corpus_or).value();
   bool warm = flags.GetBool("warm");
   bool use_cache = flags.GetBool("cache");
-  PrefetchOptions prefetch = MakePrefetchOptionsFromFlags(flags, use_cache);
+  StatusOr<PrefetchOptions> prefetch =
+      MakePrefetchOptionsFromFlags(flags, use_cache);
+  if (!prefetch.ok()) return Fail(prefetch.status());
   std::string store_path = flags.GetString("store-path", "");
   ObsOutputs obs_out = GetObsOutputs(flags);
   if (Status st = flags.CheckAllConsumed(); !st.ok()) return Fail(st);
@@ -683,7 +702,7 @@ int CmdSession(const Flags& flags) {
   KMeansGrouper grouper(groups.value(), 7);
   SessionResult fast = RunSession(corpus, script, SessionMode::kZombie,
                                   &grouper, learner, reward, opts, warm,
-                                  cache_ptr, prefetch, store.get());
+                                  cache_ptr, prefetch.value(), store.get());
   std::printf("%s\n%s\n", full.ToString().c_str(), fast.ToString().c_str());
   if (use_cache) {
     FeatureCacheStats cs = cache.Stats();
@@ -713,43 +732,9 @@ int CmdSession(const Flags& flags) {
   return 0;
 }
 
-int CmdSimdLevel(const Flags& flags) {
-  // Machine-readable (--print=...) or human-readable report of the SIMD
-  // dispatch resolution; CI uses `--print=active` to auto-skip forced
-  // levels the runner cannot actually execute.
-  std::string print = flags.GetString("print", "");
-  Status st = flags.CheckAllConsumed();
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  const simd::SimdLevel detected = simd::DetectCpuSimdLevel();
-  const simd::SimdLevel compiled = simd::CompiledSimdLevel();
-  const simd::SimdLevel active = simd::ActiveSimdLevel();
-  if (print == "active") {
-    std::printf("%s\n", simd::SimdLevelName(active));
-    return 0;
-  }
-  if (print == "detected") {
-    std::printf("%s\n", simd::SimdLevelName(detected));
-    return 0;
-  }
-  if (!print.empty()) {
-    std::fprintf(stderr, "unknown --print=%s (want active or detected)\n",
-                 print.c_str());
-    return 1;
-  }
-  const char* forced = std::getenv("ZOMBIE_SIMD_LEVEL");
-  std::printf("detected cpu:  %s\n", simd::SimdLevelName(detected));
-  std::printf("compiled max:  %s\n", simd::SimdLevelName(compiled));
-  std::printf("forced (env):  %s\n", forced != nullptr ? forced : "(unset)");
-  std::printf("active:        %s\n", simd::SimdLevelName(active));
-  return 0;
-}
-
 int Usage() {
   std::fprintf(stderr,
-               "usage: zombie_cli <generate|inspect|run|session|simd-level> "
+               "usage: zombie_cli <generate|inspect|run|session> "
                "[--key=value ...]\n"
                "see the header comment of tools/zombie_cli.cc for flags\n");
   return 2;
@@ -769,7 +754,6 @@ int Main(int argc, char** argv) {
   if (cmd == "inspect") return CmdInspect(flags);
   if (cmd == "run") return CmdRun(flags);
   if (cmd == "session") return CmdSession(flags);
-  if (cmd == "simd-level") return CmdSimdLevel(flags);
   return Usage();
 }
 

@@ -47,15 +47,13 @@
 //                   audited place. Calls to `mmap`, `munmap`, `mremap`,
 //                   and `msync` are banned in src/ outside src/util/.
 //   no-raw-intrinsics
-//                   Vendor SIMD intrinsics live only in src/ml/simd/, where
-//                   the per-TU ISA compile flags, the cpuid dispatch gate,
-//                   and the bit-identity obligations (FP-order contract,
-//                   ODR isolation — see src/ml/simd/kernel_entries.h) are
-//                   enforced. `<*intrin.h>` includes, `_mm*` calls, and
+//                   The binary targets baseline x86-64 with no runtime ISA
+//                   dispatch, so vendor SIMD intrinsics have no home:
+//                   `<*intrin.h>` includes, `_mm*` calls, and
 //                   `__m128`/`__m256`/`__m512`/`__mmask` types are banned
-//                   in src/ outside src/ml/simd/ — an intrinsic elsewhere
-//                   either crashes pre-AVX hardware (no dispatch gate) or
-//                   silently forks the accumulation order.
+//                   everywhere in src/ — an intrinsic either crashes older
+//                   hardware (no cpuid gate) or silently forks the
+//                   accumulation order of the scalar sparse kernels.
 //
 // Determinism rules (v2). The paper's speedup claims rest on byte-identical
 // results across cache / prefetch / thread-count configurations; these rules
@@ -87,10 +85,10 @@
 //                   `std::reduce` / `std::transform_reduce` /
 //                   `std::execution` parallel-reordering algorithms, and
 //                   `#include <execution>`, outside allowlisted kernels
-//                   (none today — even the SIMD kernels in src/ml/simd/
-//                   preserve scalar accumulation order and need no
-//                   exemption; a future entry earns its slot with a
-//                   documented reduction-order proof).
+//                   (none today — the sparse kernels preserve serial
+//                   accumulation order and need no exemption; a future
+//                   entry earns its slot with a documented reduction-order
+//                   proof).
 //   no-mutable-global
 //                   Non-const namespace-scope variables are banned: hidden
 //                   mutable process state breaks run-to-run reproducibility
@@ -398,11 +396,9 @@ bool IsRawMmapBannedFile(const std::string& rel) {
   return rel.rfind("src/", 0) == 0 && rel.rfind("src/util/", 0) != 0;
 }
 
-// Files covered by no-raw-intrinsics: all of src/ except src/ml/simd/,
-// the one home for vendor intrinsics (per-TU ISA flags + cpuid dispatch +
-// bit-identity contract live there).
+// Files covered by no-raw-intrinsics: all of src/.
 bool IsRawIntrinsicsBannedFile(const std::string& rel) {
-  return rel.rfind("src/", 0) == 0 && rel.rfind("src/ml/simd/", 0) != 0;
+  return rel.rfind("src/", 0) == 0;
 }
 
 // Vendor intrinsic spellings: _mm_* / _mm256_* / _mm512_* calls (and the
@@ -432,10 +428,9 @@ bool IsThreadPoolFile(const std::string& rel) {
 }
 
 // Kernels allowed to use reordering float reductions (no-nondet-float
-// scope). Empty today — the SIMD kernels in src/ml/simd/ keep scalar
-// accumulation order (that is their whole contract) and so need no slot; a
-// future entry earns one together with a documented reduction-order
-// argument.
+// scope). Empty today — the sparse kernels keep serial accumulation order
+// (that is their whole contract) and so need no slot; a future entry earns
+// one together with a documented reduction-order argument.
 bool IsNondetFloatAllowlistedFile(const std::string& rel) {
   (void)rel;
   return false;
@@ -666,9 +661,9 @@ class FileAnalyzer {
       if (IsRawIntrinsicsBannedFile(f_.rel) && IsIntrinsicIdent(id)) {
         Report(t.line, "no-raw-intrinsics",
                "'" + id +
-                   "' outside src/ml/simd/; vendor intrinsics belong in the "
-                   "dispatch kernels, where the cpuid gate and the FP-order "
-                   "contract are enforced (src/ml/simd/sparse_kernels.h)");
+                   "' in src/; the sparse kernels have one scalar path with "
+                   "no cpuid gate and a serial FP-order contract "
+                   "(src/ml/simd/sparse_kernels_scalar.h)");
       }
       if (IsRawExtractBannedFile(f_.rel) && id == "Extract" && i > 0 &&
           (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
@@ -818,8 +813,8 @@ class FileAnalyzer {
       }
     }
     if (IsRawIntrinsicsBannedFile(f_.rel)) {
-      // Catches <immintrin.h>, <x86intrin.h>, the per-ISA <*mmintrin.h>
-      // family, and MSVC's <intrin.h> in one suffix test.
+      // Catches <x86intrin.h>, the per-ISA <*mmintrin.h> family (AVX and
+      // AVX-512 included), and MSVC's <intrin.h> in one suffix test.
       static const std::string kSuffix = "intrin.h";
       for (const IncludeRef& inc : f_.includes) {
         if (inc.path.size() >= kSuffix.size() &&
@@ -827,8 +822,8 @@ class FileAnalyzer {
                              kSuffix.size(), kSuffix) == 0) {
           Report(inc.line, "no-raw-intrinsics",
                  "#include of '" + inc.path +
-                     "' outside src/ml/simd/; vendor intrinsics belong in "
-                     "the dispatch kernels (src/ml/simd/)");
+                     "' in src/; vendor intrinsics have no home in a "
+                     "scalar-only build (src/ml/simd/sparse_kernels_scalar.h)");
         }
       }
     }
