@@ -48,16 +48,15 @@ EngineOptions PruneBenchOptions(uint64_t seed, size_t eval_threads) {
 
 RunResult RunArm(const Task& task, const GroupingResult& grouping,
                  uint64_t seed, FeatureCache* cache, size_t eval_threads,
-                 const FeaturePrunerOptions* pruning_override) {
+                 const FeaturePrunerOptions& pruning) {
   EngineOptions opts = PruneBenchOptions(seed, eval_threads);
+  opts.pruning = pruning;
   ExtractionService service(&task.pipeline, cache);
   ZombieEngine engine(&task.corpus, &service, opts);
   EpsilonGreedyPolicy policy;
   NaiveBayesLearner nb;
   LabelReward reward;
-  RunSpec spec(grouping, policy, nb, reward);
-  spec.pruning_override = pruning_override;
-  return engine.Run(spec);
+  return engine.Run(RunSpec(grouping, policy, nb, reward));
 }
 
 double MeanAccuracy(const std::vector<RunResult>& runs) {
@@ -78,10 +77,10 @@ constexpr int kWallReps = 3;
 
 MeasuredArm MeasureArm(const Task& task, const GroupingResult& grouping,
                        uint64_t seed, FeatureCache* cache,
-                       const FeaturePrunerOptions* pruning_override) {
+                       const FeaturePrunerOptions& pruning) {
   MeasuredArm out;
   for (int rep = 0; rep < kWallReps; ++rep) {
-    RunResult r = RunArm(task, grouping, seed, cache, 1, pruning_override);
+    RunResult r = RunArm(task, grouping, seed, cache, 1, pruning);
     const double wall = static_cast<double>(r.wall_micros);
     if (rep == 0) {
       out.wall_micros = wall;
@@ -122,6 +121,7 @@ void Run() {
     }
   }
 
+  const FeaturePrunerOptions off_opts{};
   const FeaturePrunerOptions conservative = ConservativePruning();
   const FeaturePrunerOptions aggressive = AggressivePruning();
   FeaturePrunerOptions conservative_disabled = conservative;
@@ -134,27 +134,27 @@ void Run() {
   double wall_cons = 0.0;
   double wall_aggr = 0.0;
   for (uint64_t seed : BenchSeeds()) {
-    MeasuredArm off = MeasureArm(task, grouping, seed, &cache, nullptr);
+    MeasuredArm off = MeasureArm(task, grouping, seed, &cache, off_opts);
 
     // Prune-off equivalence: a disabled preset must be a perfect no-op.
     RunResult off_preset =
-        RunArm(task, grouping, seed, &cache, 1, &conservative_disabled);
+        RunArm(task, grouping, seed, &cache, 1, conservative_disabled);
     ZCHECK(off_preset.Fingerprint() == off.run.Fingerprint())
         << "disabled pruning preset changed the run (seed " << seed << ")";
 
-    MeasuredArm cons = MeasureArm(task, grouping, seed, &cache, &conservative);
+    MeasuredArm cons = MeasureArm(task, grouping, seed, &cache, conservative);
 
     // Prune-on determinism: byte-identical without the cache and at a
     // different holdout-eval thread count (wall-clock-only knobs).
     RunResult cons_nocache =
-        RunArm(task, grouping, seed, nullptr, 1, &conservative);
+        RunArm(task, grouping, seed, nullptr, 1, conservative);
     ZCHECK(cons_nocache.Fingerprint() == cons.run.Fingerprint())
         << "pruned run depends on the feature cache (seed " << seed << ")";
-    RunResult cons_mt = RunArm(task, grouping, seed, &cache, 2, &conservative);
+    RunResult cons_mt = RunArm(task, grouping, seed, &cache, 2, conservative);
     ZCHECK(cons_mt.Fingerprint() == cons.run.Fingerprint())
         << "pruned run depends on eval threads (seed " << seed << ")";
 
-    MeasuredArm aggr = MeasureArm(task, grouping, seed, &cache, &aggressive);
+    MeasuredArm aggr = MeasureArm(task, grouping, seed, &cache, aggressive);
 
     wall_off += off.wall_micros;
     wall_cons += cons.wall_micros;

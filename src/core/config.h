@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "bandit/arm_stats.h"
-#include "core/convergence.h"
 #include "ml/feature_pruner.h"
 #include "ml/metrics.h"
 #include "util/status.h"
@@ -22,13 +20,9 @@ struct StopRule {
   size_t max_items = std::numeric_limits<size_t>::max();
   /// Stop when the quality estimate first reaches this value (< 0: off).
   double target_quality = -1.0;
-  /// Stop when the quality estimate plateaus (the paper's rule).
+  /// Stop when the quality estimate plateaus (the paper's rule; detector
+  /// settings are ConvergenceOptions' defaults).
   bool plateau_enabled = true;
-  ConvergenceOptions plateau;
-  /// Plateau stop requires the quality estimate to have lifted off the
-  /// floor: a flat-at-zero curve means the learner has not seen the rare
-  /// class yet, not that it has converged.
-  double plateau_min_quality = 0.02;
   /// Stop when the quality estimate has clearly peaked: every one of the
   /// last `decline_window` evaluations sat more than `decline_margin`
   /// below the best quality seen. Recency-sensitive learners (SGD) drift
@@ -49,26 +43,16 @@ struct EngineOptions {
   /// `eval_every` processed items.
   size_t eval_every = 25;
   /// Number of corpus items sampled (and featurized up front) as the
-  /// quality-estimation holdout. Excluded from training forever.
+  /// quality-estimation holdout. Excluded from training forever. The
+  /// holdout is stratified to a fixed positive share, and featurizing it is
+  /// charged to the virtual clock (see engine.cc).
   size_t holdout_size = 400;
-  /// Target positive-class share of the holdout. Rare-class F1 needs
-  /// enough positives to be measurable (a 5%-positive holdout of 400 items
-  /// has 20 positives, so F1 moves in ~5% jumps and plateau detection
-  /// misfires). Stratifying the holdout stabilizes the quality signal; set
-  /// to a negative value for natural (unstratified) sampling.
-  double holdout_positive_fraction = 0.25;
-  /// Probe subset size used by probe-requiring rewards (improvement).
-  size_t probe_size = 50;
   QualityMetric metric = QualityMetric::kF1;
   /// Evaluate holdout quality at the F1-optimal score threshold instead of
   /// thresholding at zero (EvaluateLearnerTuned). Decouples the quality
   /// signal from class-prior miscalibration caused by skewed selection.
   bool tune_threshold = false;
   StopRule stop;
-  ArmStatsOptions arm_stats;
-  /// Charge the virtual clock for featurizing the holdout (the engineer
-  /// pays that cost once per revision in reality).
-  bool charge_holdout_cost = true;
   /// Cost-aware selection: divide each item's reward by its extraction
   /// cost relative to the corpus mean before feeding the bandit. The
   /// bandit then maximizes usefulness per unit *time* instead of per
@@ -97,8 +81,8 @@ struct EngineOptions {
   /// holdout-eval boundary from virtual-time-visible state only, so results
   /// are still byte-identical across thread counts and cache/store modes
   /// (only wall-clock and — by design — the post-freeze
-  /// learning trajectory change versus pruning off). Overridable per run
-  /// via RunSpec::pruning_override.
+  /// learning trajectory change versus pruning off). The one place pruning
+  /// is configured.
   FeaturePrunerOptions pruning;
 
   /// Validates knob ranges.

@@ -61,6 +61,18 @@ namespace {
 
 int32_t BinaryLabel(int32_t raw) { return raw == 1 ? 1 : 0; }
 
+/// Positive-class share the holdout is stratified to. Rare-class F1 needs
+/// enough positives to be measurable (a 5%-positive holdout of 400 items
+/// has 20 positives, so F1 moves in ~5% jumps and plateau detection
+/// misfires); stratifying stabilizes the quality signal.
+constexpr double kHoldoutPositiveFraction = 0.25;
+/// Holdout prefix scored by probe-requiring rewards (improvement).
+constexpr size_t kProbeSize = 50;
+/// The plateau stop requires the quality estimate to have lifted off the
+/// floor: a flat-at-zero curve means the learner has not seen the rare
+/// class yet, not that it has converged.
+constexpr double kPlateauMinQuality = 0.02;
+
 }  // namespace
 
 RunResult ZombieEngine::Run(const RunSpec& spec) const {
@@ -138,12 +150,9 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   // and freezes its mask at a holdout-eval boundary — all decisions derive
   // from virtual-time-visible state only, so the pruned run is itself
   // byte-identical across thread counts and cache/store modes.
-  const FeaturePrunerOptions& prune_opts = spec.pruning_override != nullptr
-                                               ? *spec.pruning_override
-                                               : options_.pruning;
   std::unique_ptr<FeaturePruner> pruner;
-  if (prune_opts.enabled) {
-    pruner = std::make_unique<FeaturePruner>(prune_opts);
+  if (options_.pruning.enabled) {
+    pruner = std::make_unique<FeaturePruner>(options_.pruning);
   }
 
   CacheOutcome last_cache = CacheOutcome::kDisabled;
@@ -193,52 +202,46 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
     Rng holdout_rng = rng.Fork();
     holdout_rng.Shuffle(&ids);
-    if (options_.holdout_positive_fraction >= 0.0) {
-      // Stratified: walk the shuffled order taking positives/negatives
-      // until each quota fills (falling back to whatever remains). Never
-      // take more than half of the corpus's positives — on very skewed
-      // corpora the holdout must not starve training of the rare class.
-      size_t corpus_positives = 0;
-      for (size_t i = 0; i < base_size; ++i) {
-        corpus_positives += corpus_->doc(i).label == 1;
-      }
-      size_t want_pos = static_cast<size_t>(
-          options_.holdout_positive_fraction *
-          static_cast<double>(holdout_size));
-      want_pos = std::min(want_pos, corpus_positives / 2);
-      size_t want_neg = holdout_size - want_pos;
-      std::vector<uint32_t> chosen;
-      std::vector<uint32_t> leftovers;
-      for (uint32_t id : ids) {
-        bool positive = corpus_->doc(id).label == 1;
-        if (positive && want_pos > 0) {
-          chosen.push_back(id);
-          --want_pos;
-        } else if (!positive && want_neg > 0) {
-          chosen.push_back(id);
-          --want_neg;
-        } else {
-          leftovers.push_back(id);
-        }
-        if (want_pos == 0 && want_neg == 0) break;
-      }
-      for (uint32_t id : leftovers) {
-        if (chosen.size() >= holdout_size) break;
-        chosen.push_back(id);
-      }
-      ids = std::move(chosen);
-    } else {
-      ids.resize(holdout_size);
+    // Stratified: walk the shuffled order taking positives/negatives until
+    // each quota fills (falling back to whatever remains). Never take more
+    // than half of the corpus's positives — on very skewed corpora the
+    // holdout must not starve training of the rare class.
+    size_t corpus_positives = 0;
+    for (size_t i = 0; i < base_size; ++i) {
+      corpus_positives += corpus_->doc(i).label == 1;
     }
-    for (uint32_t id : ids) grouped.MarkProcessed(id);
-
+    size_t want_pos = static_cast<size_t>(kHoldoutPositiveFraction *
+                                          static_cast<double>(holdout_size));
+    want_pos = std::min(want_pos, corpus_positives / 2);
+    size_t want_neg = holdout_size - want_pos;
+    std::vector<uint32_t> chosen;
+    std::vector<uint32_t> leftovers;
     for (uint32_t id : ids) {
+      bool positive = corpus_->doc(id).label == 1;
+      if (positive && want_pos > 0) {
+        chosen.push_back(id);
+        --want_pos;
+      } else if (!positive && want_neg > 0) {
+        chosen.push_back(id);
+        --want_neg;
+      } else {
+        leftovers.push_back(id);
+      }
+      if (want_pos == 0 && want_neg == 0) break;
+    }
+    for (uint32_t id : leftovers) {
+      if (chosen.size() >= holdout_size) break;
+      chosen.push_back(id);
+    }
+    for (uint32_t id : chosen) grouped.MarkProcessed(id);
+
+    // The engineer pays the holdout's featurization once per revision, so
+    // the virtual clock does too.
+    for (uint32_t id : chosen) {
       const Document& doc = corpus_->doc(id);
       holdout_data.Add(featurize(id, doc), BinaryLabel(doc.label));
-      if (options_.charge_holdout_cost) {
-        clock.Advance(pipeline_->ExtractionCostMicros(doc) +
-                      doc.labeling_cost_micros);
-      }
+      clock.Advance(pipeline_->ExtractionCostMicros(doc) +
+                    doc.labeling_cost_micros);
     }
     result.holdout_virtual_micros = clock.NowMicros();
     clock.Reset();  // loop_virtual_micros is tracked separately
@@ -261,7 +264,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   Dataset probe;
   const bool needs_probe = reward_prototype.requires_probe();
   if (needs_probe) {
-    size_t probe_size = std::min(options_.probe_size, holdout.size());
+    size_t probe_size = std::min(kProbeSize, holdout.size());
     for (size_t i = 0; i < probe_size; ++i) {
       probe.Add(holdout.holdout().example(i));
     }
@@ -272,7 +275,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
   std::unique_ptr<BanditPolicy> policy = policy_prototype.Clone();
   std::unique_ptr<RewardFunction> reward = reward_prototype.Clone();
   policy->Reset(num_groups);
-  ArmStats stats(num_groups, options_.arm_stats);
+  ArmStats stats(num_groups);
   std::vector<size_t> pseudo_pulls(num_groups, 0);
   std::vector<double> pseudo_reward(num_groups, 0.0);
   if (warm_start != nullptr && warm_start->size() == num_groups) {
@@ -406,7 +409,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
                       static_cast<unsigned long long>(options_.seed))
           : std::string();
 
-  ConvergenceDetector plateau(options_.stop.plateau);
+  ConvergenceDetector plateau;
   const StopRule& stop = options_.stop;
   double peak_quality = 0.0;
   size_t evals_below_peak = 0;
@@ -424,22 +427,20 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     if (mean_item_cost <= 0.0) mean_item_cost = 1.0;
   }
 
-  // The holdout scoring pass proper (no curve/stop bookkeeping), shared by
-  // the cadence evaluation and the final metrics; this is what
-  // holdout_eval_threads parallelizes and engine.holdout_eval_us times.
-  auto eval_holdout = [&]() {
-    ScopedHistogramTimer holdout_eval_timer(holdout_eval_hist);
-    return options_.tune_threshold
-               ? EvaluateLearnerTuned(*learner, holdout.holdout(), nullptr,
-                                      eval_pool.get())
-               : holdout.Evaluate(*learner, eval_pool.get());
-  };
-
   auto evaluate = [&](size_t items) {
     ScopedHistogramTimer eval_timer(eval_hist);
     TraceSpan eval_span(tracer, "engine.evaluate", "engine");
     if (evals_counter != nullptr) evals_counter->Increment();
-    BinaryMetrics m = eval_holdout();
+    // The holdout scoring pass proper: what holdout_eval_threads
+    // parallelizes and engine.holdout_eval_us times.
+    BinaryMetrics m;
+    {
+      ScopedHistogramTimer holdout_eval_timer(holdout_eval_hist);
+      m = options_.tune_threshold
+              ? EvaluateLearnerTuned(*learner, holdout.holdout(), nullptr,
+                                     eval_pool.get())
+              : holdout.Evaluate(*learner, eval_pool.get());
+    }
     CurvePoint p;
     p.items_processed = items;
     p.virtual_micros = clock.NowMicros();
@@ -610,7 +611,7 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
         result.stop_reason = StopReason::kTarget;
         stopped = true;
       } else if (stop.plateau_enabled && items >= stop.min_items &&
-                 q > stop.plateau_min_quality && plateau.converged()) {
+                 q > kPlateauMinQuality && plateau.converged()) {
         result.stop_reason = StopReason::kPlateau;
         stopped = true;
       } else if (stop.decline_enabled && items >= stop.min_items &&
@@ -633,8 +634,10 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
 
   result.items_processed = items;
   result.loop_virtual_micros = clock.NowMicros();
-  result.final_metrics = eval_holdout();
-  result.final_quality = QualityOf(result.final_metrics, options_.metric);
+  // The last curve point scored this exact learner on this holdout.
+  const CurvePoint& last = result.curve.points().back();
+  result.final_metrics = last.metrics;
+  result.final_quality = last.quality;
   result.wall_micros = wall.ElapsedMicros();
 
   // grouped.num_groups(), not the base count: streaming may have opened

@@ -1,7 +1,6 @@
 #ifndef ZOMBIE_CORE_EXPERIMENT_DRIVER_H_
 #define ZOMBIE_CORE_EXPERIMENT_DRIVER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -26,30 +25,24 @@ class IncrementalGrouper;
 
 /// A declarative experiment grid: the cross product
 ///
-///   policies x groupings x rewards x learners x prunings x seeds
+///   policies x groupings x rewards x learners x seeds
 ///
-/// Every axis except seeds may be left with a single element; every axis
-/// except prunings must be non-empty (an empty prunings axis means one
-/// prune-off cell — identical trial order and labels to grids that predate
-/// the axis). Groupings, rewards, learners, and prunings are borrowed
-/// prototypes and must outlive the RunGrid call (rewards and learners are
-/// cloned per trial by the engine, so prototypes are never mutated).
+/// Every axis must be non-empty; any may hold a single element. Groupings,
+/// rewards, and learners are borrowed prototypes and must outlive the
+/// RunGrid call (rewards and learners are cloned per trial by the engine,
+/// so prototypes are never mutated). Pruning is not an axis: every trial
+/// uses ExperimentDriverOptions::engine.pruning.
 struct ExperimentGrid {
   std::vector<PolicyKind> policies;
   std::vector<const GroupingResult*> groupings;
   std::vector<const RewardFunction*> rewards;
   std::vector<const Learner*> learners;
-  /// Per-trial RunSpec::pruning_override values. nullptr entries mean "no
-  /// override" (the shared EngineOptions::pruning applies) — the prune-off
-  /// arm of a prune-off/prune-on A/B.
-  std::vector<const FeaturePrunerOptions*> prunings;
   std::vector<uint64_t> seeds;
 
   /// Number of trials the grid expands to.
   size_t size() const {
     return policies.size() * groupings.size() * rewards.size() *
-           learners.size() * std::max<size_t>(prunings.size(), 1) *
-           seeds.size();
+           learners.size() * seeds.size();
   }
 
   [[nodiscard]] Status Validate() const;
@@ -62,15 +55,9 @@ struct TrialSpec {
   const GroupingResult* grouping = nullptr;
   const RewardFunction* reward = nullptr;
   const Learner* learner = nullptr;
-  /// The prunings-axis cell (null = no override). `pruning_index` is the
-  /// position within the axis — it disambiguates labels, since distinct
-  /// FeaturePrunerOptions have no short printable form.
-  const FeaturePrunerOptions* pruning = nullptr;
-  size_t pruning_index = 0;
   uint64_t seed = 0;
 
-  /// "egreedy/kmeans32/label/nb/s3"-style display label; trials with a
-  /// pruning override append "/prune@<axis index>".
+  /// "egreedy/kmeans32/label/nb/s3"-style display label.
   std::string Label() const;
 };
 

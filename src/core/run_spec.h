@@ -6,7 +6,6 @@
 #include "bandit/policy.h"
 #include "core/run_result.h"
 #include "index/grouper.h"
-#include "ml/feature_pruner.h"
 #include "ml/learner.h"
 
 namespace zombie {
@@ -45,11 +44,6 @@ struct RunSpec {
   /// seeded with pseudo-observations of its previous mean reward. Ignored
   /// when the arm count does not match the grouping.
   const std::vector<ArmSummary>* warm_start = nullptr;
-
-  /// Per-run override of EngineOptions::pruning (borrowed; null = use the
-  /// engine-wide setting). Lets one engine run prune-off and prune-on arms
-  /// back to back — the bench_prune frontier — without rebuilding engines.
-  const FeaturePrunerOptions* pruning_override = nullptr;
 
   /// Streaming ingestion. When `stream` is set, `grouping` must be the
   /// base grouping returned by `incremental_grouper->GroupBase(corpus,

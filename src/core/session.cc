@@ -5,8 +5,6 @@
 #include "bandit/epsilon_greedy.h"
 #include "core/baselines.h"
 #include "core/engine.h"
-#include "data/corpus_source.h"
-#include "index/incremental_grouper.h"
 #include "obs/obs.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -39,29 +37,15 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
                          EngineOptions engine_options,
                          bool warm_start_bandit, FeatureCache* cache,
                          PrefetchOptions prefetch,
-                         PersistentFeatureStore* store,
-                         const SessionStreamConfig* stream) {
+                         PersistentFeatureStore* store) {
   SessionResult session;
   session.mode = mode;
   std::vector<ArmSummary> previous_arms;
 
-  const bool streaming =
-      mode == SessionMode::kZombie && stream != nullptr &&
-      stream->source != nullptr;
   GroupingResult grouping;
   if (mode == SessionMode::kZombie) {
-    if (streaming) {
-      // Prime the incremental grouper over the offline base prefix once;
-      // every revision replays the same arrival schedule from this state
-      // (the engine clones the primed grouper per run).
-      ZCHECK(stream->incremental_grouper != nullptr)
-          << "streaming session needs an incremental grouper";
-      grouping = stream->incremental_grouper->GroupBase(
-          corpus, stream->source->base_size());
-    } else {
-      ZCHECK(grouper != nullptr) << "kZombie session needs a grouper";
-      grouping = grouper->Group(corpus);
-    }
+    ZCHECK(grouper != nullptr) << "kZombie session needs a grouper";
+    grouping = grouper->Group(corpus);
     session.index_virtual_micros = grouping.build_virtual_micros;
     session.index_wall_micros = grouping.build_wall_micros;
   }
@@ -98,10 +82,6 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
                                                         : nullptr;
       RunSpec spec(grouping, policy, learner_prototype, reward);
       spec.warm_start = warm;
-      if (streaming) {
-        spec.stream = stream->source;
-        spec.incremental_grouper = stream->incremental_grouper;
-      }
       RunResult run = engine.Run(spec);
       outcome.items_processed = run.items_processed;
       outcome.virtual_micros = run.total_virtual_micros();

@@ -17,9 +17,6 @@
 
 namespace zombie {
 
-class ScheduledCorpusSource;
-class IncrementalGrouper;
-
 /// How each revision of the session evaluates its feature code.
 enum class SessionMode {
   /// The status quo the paper argues against: every revision featurizes the
@@ -82,19 +79,6 @@ struct SessionResult {
 /// ExtractionService). Each revision hits the store under its own pipeline
 /// fingerprint, so a warm store skips re-extraction for exactly the
 /// revisions whose feature code is unchanged.
-/// Streaming ingestion for kZombie sessions. When `source` is set the
-/// session ignores the positional `grouper`: it primes
-/// `incremental_grouper` once over the offline base prefix (charging the
-/// index build exactly like the offline path) and every revision replays
-/// the same arrival schedule — the engine clones the primed grouper per
-/// run, so revisions are independent and deterministic. Both pointers are
-/// borrowed and must outlive the call.
-struct SessionStreamConfig {
-  const ScheduledCorpusSource* source = nullptr;
-  /// Unprimed; the session calls GroupBase exactly once.
-  IncrementalGrouper* incremental_grouper = nullptr;
-};
-
 SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
                          SessionMode mode, Grouper* grouper,
                          const Learner& learner_prototype,
@@ -103,8 +87,7 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
                          bool warm_start_bandit = false,
                          FeatureCache* cache = nullptr,
                          PrefetchOptions prefetch = {},
-                         PersistentFeatureStore* store = nullptr,
-                         const SessionStreamConfig* stream = nullptr);
+                         PersistentFeatureStore* store = nullptr);
 
 }  // namespace zombie
 

@@ -16,11 +16,11 @@ void SpeculativePrefetcher::SpeculateBeforeEvaluation(
     const BanditPolicy& policy, const ArmStats& stats) {
   if (!service_->prefetch_enabled()) return;
   TraceSpan span(trace_, "engine.speculate", "prefetch");
-  const PrefetchOptions& opts = service_->prefetch_options();
-  policy.RankArms(stats, opts.max_arms, &ranked_arms_);
+  policy.RankArms(stats, service_->prefetch_options().max_arms,
+                  &ranked_arms_);
   candidates_.clear();
   for (size_t arm : ranked_arms_) {
-    grouped_->PeekUnprocessed(arm, opts.max_items_per_arm, &peek_buffer_);
+    grouped_->PeekUnprocessed(arm, kPrefetchItemsPerArm, &peek_buffer_);
     candidates_.insert(candidates_.end(), peek_buffer_.begin(),
                        peek_buffer_.end());
   }

@@ -121,10 +121,11 @@ size_t ExtractionService::EnqueuePrefetch(
       skipped_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    // Bounded speculation: never more than queue_cap outstanding tasks.
+    // Bounded speculation: never more than kPrefetchQueueCap outstanding
+    // tasks.
     size_t in_flight = in_flight_.load(std::memory_order_relaxed);
     bool reserved = false;
-    while (in_flight < prefetch_.queue_cap) {
+    while (in_flight < kPrefetchQueueCap) {
       if (in_flight_.compare_exchange_weak(in_flight, in_flight + 1,
                                            std::memory_order_relaxed)) {
         reserved = true;

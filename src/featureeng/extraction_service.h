@@ -29,12 +29,13 @@ struct PrefetchOptions {
   size_t threads = 0;
   /// Top-scoring arms considered per speculation window.
   size_t max_arms = 4;
-  /// Upcoming unprocessed documents prefetched per arm per window.
-  size_t max_items_per_arm = 4;
-  /// Maximum outstanding (queued + running) speculative extractions;
-  /// candidates past the cap are dropped for that window.
-  size_t queue_cap = 64;
 };
+
+/// Upcoming unprocessed documents prefetched per ranked arm per window.
+inline constexpr size_t kPrefetchItemsPerArm = 4;
+/// Maximum outstanding (queued + running) speculative extractions;
+/// candidates past the cap are dropped for that window.
+inline constexpr size_t kPrefetchQueueCap = 64;
 
 /// Cumulative speculation counters (since service construction).
 struct PrefetchStats {
@@ -86,7 +87,10 @@ struct PrefetchStats {
 /// Equivalence contract (extends the FeatureCache contract): speculation is
 /// wall-clock-only. Prefetched entries are inserted speculatively and
 /// promoted on first touch with as-if-no-prefetch accounting (see
-/// FeatureCache::LookupForExtraction), so the CacheOutcome sequence
+/// FeatureCache::LookupForExtraction). A worker's insert can also land
+/// between a caller's miss and that caller's own Insert; the Insert then
+/// promotes the entry, so the next touch is the hit it would have been
+/// without prefetch (see FeatureCache::Insert). So the CacheOutcome sequence
 /// reported by Featurize — and therefore RunResult, DecisionLog JSONL, and
 /// all virtual-time numbers — is byte-identical with prefetch on or off at
 /// any thread count. Speculative inserts never evict (a full cache rejects
@@ -136,9 +140,10 @@ class ExtractionService {
                          const FeaturePruner* pruner = nullptr);
 
   /// Enqueues speculative extraction of `doc_ids` onto the background
-  /// workers, bounded by queue_cap outstanding tasks; already-cached ids
-  /// and ids past the cap are dropped. Returns the number of tasks
-  /// actually enqueued. No-op (returns 0) when speculation is disabled.
+  /// workers, bounded by kPrefetchQueueCap outstanding tasks;
+  /// already-cached ids and ids past the cap are dropped. Returns the number
+  /// of tasks actually enqueued. No-op (returns 0) when speculation is
+  /// disabled.
   size_t EnqueuePrefetch(const Corpus& corpus,
                          const std::vector<uint32_t>& doc_ids);
 
@@ -195,7 +200,7 @@ class ExtractionService {
   /// Bumped by CancelPrefetch; tasks capture the value at enqueue and bail
   /// when it has moved.
   std::atomic<uint64_t> generation_{0};
-  /// Queued + running speculative tasks (queue_cap bound).
+  /// Queued + running speculative tasks (kPrefetchQueueCap bound).
   std::atomic<size_t> in_flight_{0};
   std::atomic<uint64_t> enqueued_{0};
   std::atomic<uint64_t> issued_{0};

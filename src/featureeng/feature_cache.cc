@@ -71,8 +71,12 @@ void FeatureCache::Insert(uint64_t pipeline_fingerprint, uint32_t doc_id,
   auto [it, inserted] =
       map_.try_emplace(Key{pipeline_fingerprint, doc_id}, nullptr);
   if (!inserted) {
-    // First writer wins; just refresh recency.
+    // First writer wins; just refresh recency. A speculative entry that
+    // beat this Insert (a prefetch worker racing the caller's miss) is
+    // committed here: the caller already accounted the miss, so the next
+    // touch must be an ordinary hit, exactly as without prefetch.
     it->second->last_used.store(now, std::memory_order_relaxed);
+    it->second->speculative.store(false);
     return;
   }
   it->second = std::move(slot);

@@ -95,7 +95,9 @@ class FeatureCache {
   /// Inserts (or keeps the existing entry for) the key; may evict. The
   /// first writer wins on a duplicate key — values for a given key are
   /// identical by the determinism contract, so which copy survives is
-  /// irrelevant.
+  /// irrelevant. A surviving speculative entry is promoted to a regular
+  /// one: the caller's own miss already happened, so later touches are
+  /// ordinary hits.
   void Insert(uint64_t pipeline_fingerprint, uint32_t doc_id, Entry entry)
       ZOMBIE_EXCLUDES(mu_);
 

@@ -108,14 +108,6 @@ class DecisionLog {
   std::vector<DecisionRecord> Records(const std::string& run_label) const
       ZOMBIE_EXCLUDES(mu_);
 
-  /// Prune events for one run label (empty when absent).
-  std::vector<PruneEvent> PruneEvents(const std::string& run_label) const
-      ZOMBIE_EXCLUDES(mu_);
-
-  /// Ingest events for one run label (empty when absent).
-  std::vector<IngestEvent> IngestEvents(const std::string& run_label) const
-      ZOMBIE_EXCLUDES(mu_);
-
   /// JSON Lines: one object per record, runs in label order, records in
   /// pull order. Deterministic byte-for-byte for deterministic runs.
   std::string ToJsonl() const;

@@ -100,14 +100,21 @@ TEST_F(EngineHoldoutTest, HoldoutEvalHistogramRecordsEvals) {
   NaiveBayesLearner learner;
   LabelReward reward;
   ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
-  engine.Run(RunSpec(grouping_, policy, learner, reward));
+  RunResult r = engine.Run(RunSpec(grouping_, policy, learner, reward));
   HistogramSnapshot evals =
       obs.metrics()->GetHistogram("engine.holdout_eval_us")->Snapshot();
-  // One sample per cadence evaluation plus one for the final-metrics
-  // scoring pass after the loop.
-  EXPECT_EQ(evals.count,
-            obs.metrics()->GetCounter("engine.evals")->value() + 1);
+  // One scoring pass per curve point and no more: the final metrics are
+  // the last curve point's, not a second pass over the same learner.
+  EXPECT_EQ(evals.count, obs.metrics()->GetCounter("engine.evals")->value());
+  EXPECT_EQ(evals.count, r.curve.size());
   EXPECT_GT(evals.count, 1u);
+  const CurvePoint& last = r.curve.points().back();
+  EXPECT_EQ(r.final_quality, last.quality);
+  EXPECT_EQ(r.final_metrics.confusion.tp, last.metrics.confusion.tp);
+  EXPECT_EQ(r.final_metrics.confusion.fp, last.metrics.confusion.fp);
+  EXPECT_EQ(r.final_metrics.confusion.tn, last.metrics.confusion.tn);
+  EXPECT_EQ(r.final_metrics.confusion.fn, last.metrics.confusion.fn);
+  EXPECT_EQ(r.final_metrics.auc, last.metrics.auc);
 }
 
 TEST_F(EngineHoldoutTest, ThreadCountBeyondHoldoutShardsIsHarmless) {

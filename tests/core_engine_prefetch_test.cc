@@ -75,7 +75,6 @@ class EnginePrefetchTest : public ::testing::Test {
     PrefetchOptions prefetch;
     prefetch.threads = prefetch_threads;
     prefetch.max_arms = 4;
-    prefetch.max_items_per_arm = 4;
     ExtractionService service(&task_.pipeline, &cache, prefetch, obs.trace());
 
     NaiveBayesLearner learner;

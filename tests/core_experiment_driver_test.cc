@@ -222,68 +222,33 @@ TEST(ExperimentDriverTest, ScanBaselinesMatchSerialBaselines) {
   }
 }
 
-// --- Prunings axis (per-arm RunSpec::pruning_override through the grid). --
+// --- Pruning (ExperimentDriverOptions::engine.pruning). -------------------
 
-TEST(ExperimentGridTest, PruningsAxisMultipliesSizeAndLabels) {
-  Fixture f;
-  ExperimentGrid grid = f.SmallGrid();
-  EXPECT_EQ(grid.size(), 6u);
-  FeaturePrunerOptions conservative = ConservativePruning();
-  grid.prunings = {nullptr, &conservative};
-  EXPECT_EQ(grid.size(), 12u);
-  EXPECT_TRUE(grid.Validate().ok());
-}
-
-TEST(ExperimentDriverTest, PruningsAxisExpandsInOrderWithStableLabels) {
+TEST(ExperimentDriverTest, EnginePruningReachesEveryTrial) {
   Fixture f;
   ExperimentDriverOptions opts;
-  opts.num_threads = 4;
+  opts.num_threads = 2;
   opts.engine = f.SmallOptions();
-  // Enough post-freeze runway (freeze_after_items defaults to 100) for the
-  // override to leave a mark on the run fingerprint.
+  // Enough post-freeze runway (freeze_after_items defaults to 100) for
+  // pruning to leave a mark on the run fingerprint.
   opts.engine.stop.max_items = 200;
-  ExperimentDriver driver(&f.task.corpus, &f.task.pipeline, opts);
-
-  FeaturePrunerOptions conservative = ConservativePruning();
   ExperimentGrid grid = f.SmallGrid();
   grid.policies = {PolicyKind::kEpsilonGreedy};
   grid.seeds = {1, 2};
-  grid.prunings = {nullptr, &conservative};
-  auto trials = driver.RunGrid(grid);
-  ASSERT_TRUE(trials.ok()) << trials.status().ToString();
-  ASSERT_EQ(trials.value().size(), 4u);
-  // Expansion order: prunings between learners and seeds (seed-minor).
-  for (size_t i = 0; i < trials.value().size(); ++i) {
-    const TrialSpec& spec = trials.value()[i].spec;
-    EXPECT_EQ(spec.index, i);
-    EXPECT_EQ(spec.pruning, grid.prunings[i / 2]);
-    EXPECT_EQ(spec.pruning_index, i / 2);
-    EXPECT_EQ(spec.seed, grid.seeds[i % 2]);
-    // Labels: the no-override cell keeps the legacy label, the override
-    // cell appends its axis position.
-    if (spec.pruning == nullptr) {
-      EXPECT_EQ(spec.Label().find("/prune@"), std::string::npos);
-    } else {
-      EXPECT_NE(spec.Label().find("/prune@1"), std::string::npos)
-          << spec.Label();
-    }
-  }
-  // The prune-off and prune-on arms of a seed really differ (the override
-  // reached the engine), while same-pruning same-seed cells reproduce the
-  // legacy (no-axis) grid exactly.
-  ExperimentGrid legacy = grid;
-  legacy.prunings.clear();
-  auto legacy_trials = driver.RunGrid(legacy);
-  ASSERT_TRUE(legacy_trials.ok());
-  ASSERT_EQ(legacy_trials.value().size(), 2u);
+  ExperimentDriver off_driver(&f.task.corpus, &f.task.pipeline, opts);
+  auto off = off_driver.RunGrid(grid);
+  opts.engine.pruning = ConservativePruning();
+  ExperimentDriver on_driver(&f.task.corpus, &f.task.pipeline, opts);
+  auto on = on_driver.RunGrid(grid);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  ASSERT_EQ(on.value().size(), 2u);
   for (size_t s = 0; s < 2; ++s) {
-    ExpectSameRun(legacy_trials.value()[s].run, trials.value()[s].run, s);
-    EXPECT_EQ(legacy_trials.value()[s].spec.Label(),
-              trials.value()[s].spec.Label());
+    EXPECT_EQ(on.value()[s].spec.Label(), off.value()[s].spec.Label());
+    EXPECT_NE(on.value()[s].run.Fingerprint(),
+              off.value()[s].run.Fingerprint())
+        << "pruning had no observable effect on trial " << s;
   }
-  EXPECT_NE(trials.value()[0].run.Fingerprint(),
-            trials.value()[2].run.Fingerprint())
-      << "pruning override had no observable effect";
 }
 
 // --- Streaming grids (ExperimentDriverOptions::stream). -------------------

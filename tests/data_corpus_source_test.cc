@@ -109,7 +109,9 @@ TEST(ArrivalScheduleTest, DomainGroupedOrderIsGroupedAndStable) {
       first = true;
     }
     // ...and within a block, corpus order is preserved (stable sort).
-    if (!first) EXPECT_GT(a.doc_index, prev_index);
+    if (!first) {
+      EXPECT_GT(a.doc_index, prev_index);
+    }
     prev_index = a.doc_index;
     first = false;
   }

@@ -132,7 +132,6 @@ TEST_F(ExtractionServiceTest, EveryCandidateIsEnqueuedOrSkipped) {
   FeatureCache cache;
   PrefetchOptions prefetch;
   prefetch.threads = 2;
-  prefetch.queue_cap = 4;  // small cap: most of the batch must be dropped
   ExtractionService service(&task_.pipeline, &cache, prefetch);
 
   std::vector<uint32_t> ids = AllDocIds();
@@ -153,7 +152,6 @@ TEST_F(ExtractionServiceTest, CancelInvalidatesNotYetStartedTasks) {
   FeatureCache cache;
   PrefetchOptions prefetch;
   prefetch.threads = 1;
-  prefetch.queue_cap = 256;
   ExtractionService service(&task_.pipeline, &cache, prefetch);
 
   size_t submitted = service.EnqueuePrefetch(task_.corpus, AllDocIds());
@@ -253,7 +251,6 @@ TEST_F(ExtractionServiceTest, DestructorDrainsOutstandingSpeculation) {
   FeatureCache cache;
   PrefetchOptions prefetch;
   prefetch.threads = 4;
-  prefetch.queue_cap = 256;
   {
     ExtractionService service(&task_.pipeline, &cache, prefetch);
     (void)service.EnqueuePrefetch(task_.corpus, AllDocIds());

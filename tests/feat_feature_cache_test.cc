@@ -174,6 +174,22 @@ TEST(FeatureCacheSpeculativeTest, NeverDowngradesAnExistingEntry) {
   EXPECT_EQ(got->features, Vec(3, 1.0));  // first writer won
 }
 
+TEST(FeatureCacheSpeculativeTest, InsertCommitsARacingSpeculativeEntry) {
+  // A prefetch worker's insert lands between the caller's miss and the
+  // caller's own Insert. The caller already accounted that miss, so its
+  // next touch must be an ordinary hit, exactly as without prefetch.
+  FeatureCache cache;
+  EXPECT_TRUE(cache.InsertSpeculative(1, 7, MakeEntry(3)));
+  cache.Insert(1, 7, MakeEntry(3));
+  bool first_touch = true;
+  auto got = cache.LookupForExtraction(1, 7, &first_touch);
+  ASSERT_NE(got, nullptr);
+  EXPECT_FALSE(first_touch);
+  FeatureCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
 TEST(FeatureCacheSpeculativeTest, RefusedAtCapacityAndNeverEvicts) {
   FeatureCacheOptions opts;
   opts.capacity = 16;
