@@ -19,13 +19,15 @@ RunResult RunSequentialBaseline(const ZombieEngine& engine,
 }
 
 RunResult RunRandomBaseline(const ZombieEngine& engine,
-                            const Learner& learner_prototype) {
+                            const Learner& learner_prototype,
+                            bool record_curve) {
   GroupingResult grouping = MakeSingleGroupGrouping(engine.corpus().size());
   grouping.method = "randomscan";
   RoundRobinPolicy policy;
   ZeroReward reward;
-  RunResult r = engine.Run(RunSpec(grouping, policy, learner_prototype,
-                                   reward));
+  RunSpec spec(grouping, policy, learner_prototype, reward);
+  spec.record_curve = record_curve;
+  RunResult r = engine.Run(spec);
   r.policy_name = "randomscan";
   return r;
 }

@@ -18,9 +18,11 @@ namespace zombie {
 RunResult RunSequentialBaseline(const ZombieEngine& engine,
                                 const Learner& learner_prototype);
 
-/// Runs a random-order scan.
+/// Runs a random-order scan. `record_curve` is RunSpec::record_curve:
+/// pass false when only the final result is read.
 RunResult RunRandomBaseline(const ZombieEngine& engine,
-                            const Learner& learner_prototype);
+                            const Learner& learner_prototype,
+                            bool record_curve = true);
 
 /// The practitioner's shortcut baseline: featurize only a uniform random
 /// sample of `sample_size` items, train, evaluate — no adaptivity, no

@@ -464,8 +464,14 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     return QualityOf(EvaluateLearner(*learner, probe), QualityMetric::kAuc);
   };
 
+  // A boundary's score feeds only the curve and the quality-reading stop
+  // rules. With neither, the run scores the holdout once, after the loop.
+  const bool score_boundaries = spec.record_curve ||
+                                stop.target_quality >= 0.0 ||
+                                stop.plateau_enabled || stop.decline_enabled;
+
   // Curve origin: the untrained learner.
-  evaluate(0);
+  if (score_boundaries) evaluate(0);
 
   // --- The inner loop -------------------------------------------------------
   TraceSpan loop_span(tracer, "engine.loop", "engine");
@@ -516,7 +522,8 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     inputs.features = x;
     inputs.label = y;
     inputs.score_before = learner->Score(x);
-    inputs.probability_before = learner->PredictProbability(x);
+    inputs.probability_before =
+        Learner::ProbabilityFromScore(inputs.score_before);
     inputs.seen_positive = result.positives_processed;
     inputs.seen_negative = items - result.positives_processed;
     double probe_before = needs_probe ? probe_quality() : 0.0;
@@ -606,18 +613,20 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
               ->Set(static_cast<double>(ps.pruned_features));
         }
       }
-      double q = evaluate(items);
-      if (stop.target_quality >= 0.0 && q >= stop.target_quality) {
-        result.stop_reason = StopReason::kTarget;
-        stopped = true;
-      } else if (stop.plateau_enabled && items >= stop.min_items &&
-                 q > kPlateauMinQuality && plateau.converged()) {
-        result.stop_reason = StopReason::kPlateau;
-        stopped = true;
-      } else if (stop.decline_enabled && items >= stop.min_items &&
-                 evals_below_peak >= stop.decline_window) {
-        result.stop_reason = StopReason::kDecline;
-        stopped = true;
+      if (score_boundaries) {
+        double q = evaluate(items);
+        if (stop.target_quality >= 0.0 && q >= stop.target_quality) {
+          result.stop_reason = StopReason::kTarget;
+          stopped = true;
+        } else if (stop.plateau_enabled && items >= stop.min_items &&
+                   q > kPlateauMinQuality && plateau.converged()) {
+          result.stop_reason = StopReason::kPlateau;
+          stopped = true;
+        } else if (stop.decline_enabled && items >= stop.min_items &&
+                   evals_below_peak >= stop.decline_window) {
+          result.stop_reason = StopReason::kDecline;
+          stopped = true;
+        }
       }
     }
     if (!stopped && items >= stop.max_items) {
@@ -626,7 +635,8 @@ RunResult ZombieEngine::Run(const RunSpec& spec) const {
     }
   }
 
-  // Final evaluation if the last item batch wasn't evaluated.
+  // Final evaluation if the last item batch wasn't evaluated (always, when
+  // boundaries were not scored).
   if (result.curve.empty() ||
       result.curve.point(result.curve.size() - 1).items_processed != items) {
     evaluate(items);

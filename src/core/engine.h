@@ -30,7 +30,10 @@ namespace zombie {
 ///  5. scores the item's usefulness with the reward function and feeds the
 ///     bandit,
 ///  6. every `eval_every` items, measures quality on the fixed holdout and
-///     applies the stop rules (plateau / target / budget).
+///     applies the stop rules (plateau / target / budget); a run whose
+///     caller reads only the final result (RunSpec::record_curve false)
+///     and whose stop rules read no quality scores the holdout once, at
+///     the end.
 ///
 /// With RunSpec::stream set, the run is *streaming*: only the offline base
 /// prefix exists up front, and at each holdout-eval boundary the engine

@@ -39,6 +39,18 @@ struct RunSpec {
   /// used by the sequential-scan baseline).
   bool shuffle_groups = true;
 
+  /// Score the holdout at every eval boundary and keep the learning curve
+  /// (the default; E1/E2 plot it). false is for callers that read only the
+  /// final result, such as the full-scan session: the engine then skips
+  /// the curve origin and every boundary score, unless an enabled stop rule
+  /// reads quality (target, plateau or decline), and scores the holdout
+  /// once after the loop, so `curve` holds only the final point. Every
+  /// other RunResult field except wall_micros, and the decision log, are
+  /// the same either way: boundaries still ingest, speculate and freeze
+  /// the prune mask, and nothing but the curve and the stop rules reads a
+  /// boundary's score.
+  bool record_curve = true;
+
   /// Optional per-arm knowledge from a previous run over the *same
   /// grouping* (e.g. the prior feature revision in a session): each arm is
   /// seeded with pseudo-observations of its previous mean reward. Ignored

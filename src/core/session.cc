@@ -55,10 +55,13 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
     // Each revision gets an independent but deterministic seed.
     EngineOptions opts = engine_options;
     opts.seed = HashCombine(engine_options.seed, r);
-    // One service per revision (the fingerprint is per-pipeline); the
-    // shared cache carries memoized extractions across revisions and
-    // sessions. The service drains its prefetch workers before the
-    // pipeline goes out of scope.
+    // One service per revision (the fingerprint is per-pipeline). The
+    // shipped scripts give every revision its own fingerprint, so within
+    // one session the cache and store never serve one revision's
+    // extractions to another; they pay off when an identical script is
+    // re-run (a later session in this process for the cache, a later
+    // process for the store). The service drains its prefetch workers
+    // before the pipeline goes out of scope.
     ExtractionService service(
         &pipeline, cache, prefetch,
         engine_options.obs != nullptr ? engine_options.obs->trace() : nullptr,
@@ -69,7 +72,10 @@ SessionResult RunSession(const Corpus& corpus, const RevisionScript& script,
     if (mode == SessionMode::kFullScan) {
       EngineOptions full = FullScanOptions(opts);
       ZombieEngine engine(&corpus, &service, full);
-      RunResult run = RunRandomBaseline(engine, learner_prototype);
+      // Only the final point is read, and FullScanOptions turns off every
+      // stop rule that reads quality: skip the boundary scores.
+      RunResult run = RunRandomBaseline(engine, learner_prototype,
+                                        /*record_curve=*/false);
       outcome.items_processed = run.items_processed;
       outcome.virtual_micros = run.total_virtual_micros();
       outcome.final_quality = run.final_quality;

@@ -57,7 +57,9 @@ struct SessionResult {
 /// Replays `script` over `corpus` in the given mode. For kZombie, `grouper`
 /// builds the index once up front and `policy_kind`/`reward` drive the
 /// loop; for kFullScan those arguments are ignored. Deterministic given
-/// `seed`.
+/// `seed`. A revision's outcome reads no learning-curve point but the last,
+/// so the full scan (whose stop rules read no quality) scores the holdout
+/// once per revision, after the loop, instead of every `eval_every` items.
 ///
 /// With `warm_start_bandit` (kZombie only), each revision's bandit is
 /// seeded with the previous revision's per-arm statistics — the groups'
@@ -65,10 +67,13 @@ struct SessionResult {
 /// mostly wasted work (the paper's cross-iteration amortization idea).
 ///
 /// With `cache` (borrowed, may be shared), every revision's featurization
-/// is memoized on the revision's pipeline fingerprint: re-running a script
-/// whose prefix is unchanged — the paper's edit-run-evaluate loop — skips
-/// re-extraction for those revisions entirely. Virtual-time and quality
-/// numbers are unchanged by the cache; only wall-clock time shrinks.
+/// is memoized on the revision's pipeline fingerprint. The shipped scripts
+/// give every revision its own fingerprint, so within one session no
+/// revision reuses another's extractions. What the cache serves is a re-run
+/// of an identical script over the same corpus (a second RunSession call
+/// sharing the cache), which skips re-extraction for whatever the cache
+/// still holds. Virtual-time and quality numbers are unchanged by the
+/// cache; only wall-clock time shrinks.
 ///
 /// Ownership: the session routes each revision through its own
 /// ExtractionService built over (revision pipeline, cache, `prefetch`,

@@ -148,7 +148,7 @@ Status PersistentFeatureStore::Init() {
   // error (missing directory, no permission) fails the open. A reader
   // additionally tries the shared lock, but proceeds lock-free when a live
   // writer holds the exclusive one (reads are safe without it — see the
-  // class comment).
+  // class comment); any other error fails the open here too.
   if (!options_.read_only) {
     StatusOr<FileLock> lock =
         FileLock::Acquire(path_ + ".lock", FileLockMode::kExclusive);
@@ -162,7 +162,11 @@ Status PersistentFeatureStore::Init() {
   if (!writable_) {
     StatusOr<FileLock> lock =
         FileLock::Acquire(path_ + ".lock", FileLockMode::kShared);
-    if (lock.ok()) write_lock_ = std::move(lock).value();
+    if (lock.ok()) {
+      write_lock_ = std::move(lock).value();
+    } else if (lock.status().code() != StatusCode::kFailedPrecondition) {
+      return lock.status();
+    }
   }
 
   WriterMutexLock lock(&mu_);

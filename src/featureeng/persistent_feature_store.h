@@ -108,8 +108,9 @@ struct PersistentFeatureStoreStats {
 class PersistentFeatureStore {
  public:
   /// Opens (creating if absent, in writer role) the store at `path`.
-  /// Errors only on unrecoverable environment problems (unmappable path,
-  /// IO failure) — data-level corruption is recovered, never an error.
+  /// Errors only on unrecoverable environment problems (a lock file that
+  /// cannot be opened, in either role; unmappable path; IO failure) —
+  /// data-level corruption is recovered, never an error.
   static StatusOr<std::unique_ptr<PersistentFeatureStore>> Open(
       const std::string& path, PersistentFeatureStoreOptions options = {});
 

@@ -36,10 +36,15 @@ class Learner {
     return Score(x) > 0.0 ? 1 : 0;
   }
 
-  /// P(y == 1 | x) in [0, 1]. Default squashes Score through a logistic;
-  /// learners with calibrated probabilities override.
-  virtual double PredictProbability(SparseVectorView x) const {
-    return 1.0 / (1.0 + std::exp(-Score(x)));
+  /// P(y == 1 | x) in [0, 1]: Score squashed through a logistic.
+  double PredictProbability(SparseVectorView x) const {
+    return ProbabilityFromScore(Score(x));
+  }
+
+  /// The logistic PredictProbability applies to a Score() value, for
+  /// callers that already hold the score.
+  static double ProbabilityFromScore(double score) {
+    return 1.0 / (1.0 + std::exp(-score));
   }
 
   /// Forgets all training state.

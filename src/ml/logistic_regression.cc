@@ -23,11 +23,6 @@ double LogisticRegressionLearner::Score(SparseVectorView x) const {
   return RawScore(x);
 }
 
-double LogisticRegressionLearner::PredictProbability(
-    SparseVectorView x) const {
-  return 1.0 / (1.0 + std::exp(-RawScore(x)));
-}
-
 void LogisticRegressionLearner::Rescale() {
   if (scale_ > 1e-9) return;
   for (double& w : weights_) w *= scale_;

@@ -55,10 +55,6 @@ double NaiveBayesLearner::Score(SparseVectorView x) const {
   return LogOdds(x);
 }
 
-double NaiveBayesLearner::PredictProbability(SparseVectorView x) const {
-  return 1.0 / (1.0 + std::exp(-LogOdds(x)));
-}
-
 void NaiveBayesLearner::Reset() {
   num_updates_ = 0;
   class_count_[0] = class_count_[1] = 0.0;

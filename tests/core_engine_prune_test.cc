@@ -9,13 +9,17 @@
 //    freeze_after_items, and is recorded consistently in the DecisionLog,
 //    the prune.* metrics, and the engine's actual dimension compaction;
 //  - a learner with no per-feature weights (kNN) disables the pruner into
-//    a byte-identical no-op rather than guessing.
+//    a byte-identical no-op rather than guessing;
+//  - a run that keeps no learning curve (RunSpec::record_curve false) still
+//    ingests, speculates and freezes at every boundary, so it matches the
+//    full-curve run on every field but the curve, pruned or not.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bandit/epsilon_greedy.h"
+#include "core/baselines.h"
 #include "core/engine.h"
 #include "core/reward.h"
 #include "core/task_factory.h"
@@ -204,6 +208,131 @@ TEST_F(EnginePruneTest, LearnerWithoutWeightsDisablesPruningAsNoOp) {
   EXPECT_EQ(on.freezes, 0u);
   EXPECT_EQ(on.fingerprint, off.fingerprint);
   EXPECT_EQ(on.decisions_jsonl, off.decisions_jsonl);
+}
+
+struct CurveRun {
+  RunResult result;
+  std::string decisions_jsonl;
+  uint64_t evals = 0;
+  uint64_t freezes = 0;
+};
+
+/// A full-scan-options bandit run (no quality-reading stop rule), the
+/// shape under which record_curve=false skips every boundary score.
+CurveRun RunFullScan(const Task& task, const GroupingResult& grouping,
+                     const FeaturePrunerOptions& pruning, size_t eval_threads,
+                     size_t max_items, bool record_curve) {
+  EngineOptions opts;
+  opts.seed = 3;
+  opts.holdout_size = 150;
+  opts.eval_every = 10;
+  opts.holdout_eval_threads = eval_threads;
+  opts.pruning = pruning;
+  opts = FullScanOptions(opts);
+  opts.stop.max_items = max_items;
+  ObsContext obs;
+  opts.obs = &obs;
+  EpsilonGreedyPolicy policy;
+  NaiveBayesLearner nb;
+  LabelReward reward;
+  ZombieEngine engine(&task.corpus, &task.pipeline, opts);
+  RunSpec spec(grouping, policy, nb, reward);
+  spec.record_curve = record_curve;
+  CurveRun out;
+  out.result = engine.Run(spec);
+  out.decisions_jsonl = obs.decisions()->ToJsonl();
+  out.evals = static_cast<uint64_t>(
+      obs.metrics()->GetCounter("engine.evals")->value());
+  out.freezes = static_cast<uint64_t>(
+      obs.metrics()->GetCounter("prune.freezes")->value());
+  return out;
+}
+
+void ExpectMetricsEq(const BinaryMetrics& got, const BinaryMetrics& want) {
+  EXPECT_EQ(got.confusion.tp, want.confusion.tp);
+  EXPECT_EQ(got.confusion.fp, want.confusion.fp);
+  EXPECT_EQ(got.confusion.tn, want.confusion.tn);
+  EXPECT_EQ(got.confusion.fn, want.confusion.fn);
+  EXPECT_EQ(got.accuracy, want.accuracy);
+  EXPECT_EQ(got.precision, want.precision);
+  EXPECT_EQ(got.recall, want.recall);
+  EXPECT_EQ(got.f1, want.f1);
+  EXPECT_EQ(got.auc, want.auc);
+}
+
+TEST_F(EnginePruneTest, UnrecordedCurveMatchesFullCurveRunButTheCurve) {
+  const FeaturePrunerOptions off;
+  const FeaturePrunerOptions conservative = ConservativePruning();
+  // No budget runs to exhaustion (750 items: the last lands on a
+  // boundary); 205 is a budget stop between boundaries.
+  for (size_t max_items : {StopRule().max_items, size_t{205}}) {
+    for (const FeaturePrunerOptions* pruning : {&off, &conservative}) {
+      for (size_t threads : {size_t{1}, size_t{2}}) {
+        SCOPED_TRACE(StrFormat("max_items=%zu prune=%d threads=%zu",
+                               max_items, pruning->enabled ? 1 : 0,
+                               threads));
+        CurveRun full = RunFullScan(task_, grouping_, *pruning, threads,
+                                    max_items, /*record_curve=*/true);
+        CurveRun last = RunFullScan(task_, grouping_, *pruning, threads,
+                                    max_items, /*record_curve=*/false);
+        const RunResult& a = full.result;
+        const RunResult& b = last.result;
+        EXPECT_EQ(b.items_processed, a.items_processed);
+        EXPECT_EQ(b.stop_reason, a.stop_reason);
+        EXPECT_EQ(b.holdout_virtual_micros, a.holdout_virtual_micros);
+        EXPECT_EQ(b.loop_virtual_micros, a.loop_virtual_micros);
+        EXPECT_EQ(b.positives_processed, a.positives_processed);
+        EXPECT_EQ(b.final_quality, a.final_quality);
+        ExpectMetricsEq(b.final_metrics, a.final_metrics);
+        ASSERT_EQ(b.arms.size(), a.arms.size());
+        for (size_t i = 0; i < a.arms.size(); ++i) {
+          EXPECT_EQ(b.arms[i].group_size, a.arms[i].group_size);
+          EXPECT_EQ(b.arms[i].pulls, a.arms[i].pulls);
+          EXPECT_EQ(b.arms[i].total_reward, a.arms[i].total_reward);
+          EXPECT_EQ(b.arms[i].positives_seen, a.arms[i].positives_seen);
+        }
+        // The JSONL carries every pull and the prune record.
+        EXPECT_EQ(last.decisions_jsonl, full.decisions_jsonl);
+        EXPECT_EQ(last.freezes, full.freezes);
+        EXPECT_EQ(full.freezes, pruning->enabled ? 1u : 0u);
+
+        // The unrecorded run scored the holdout exactly once: its one
+        // curve point is the full curve's last.
+        EXPECT_GT(full.evals, 2u);
+        EXPECT_EQ(last.evals, 1u);
+        ASSERT_EQ(b.curve.size(), 1u);
+        const CurvePoint& p = b.curve.point(0);
+        const CurvePoint& q = a.curve.points().back();
+        EXPECT_EQ(p.items_processed, q.items_processed);
+        EXPECT_EQ(p.virtual_micros, q.virtual_micros);
+        EXPECT_EQ(p.quality, q.quality);
+        ExpectMetricsEq(p.metrics, q.metrics);
+      }
+    }
+  }
+}
+
+TEST_F(EnginePruneTest, QualityReadingStopRuleKeepsBoundaryScores) {
+  // A stop rule that reads quality needs every boundary score, so the
+  // curve stays whole even when the caller asked for none.
+  EngineOptions opts;
+  opts.seed = 3;
+  opts.holdout_size = 150;
+  opts.eval_every = 10;
+  opts.stop.max_items = 200;
+  opts.stop.plateau_enabled = false;
+  opts.stop.decline_enabled = false;
+  opts.stop.target_quality = 2.0;  // never reached: runs to the budget
+  EpsilonGreedyPolicy policy;
+  NaiveBayesLearner nb;
+  LabelReward reward;
+  ZombieEngine engine(&task_.corpus, &task_.pipeline, opts);
+  RunSpec spec(grouping_, policy, nb, reward);
+  RunResult full = engine.Run(spec);
+  spec.record_curve = false;
+  RunResult unrecorded = engine.Run(spec);
+  EXPECT_EQ(unrecorded.curve.ToCsv(), full.curve.ToCsv());
+  EXPECT_EQ(full.curve.size(), 21u);  // origin + one per 10 items
 }
 
 }  // namespace

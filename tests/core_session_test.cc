@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/baselines.h"
+#include "core/engine.h"
 #include "core/reward.h"
 #include "data/webcat_generator.h"
 #include "featureeng/revision_script.h"
 #include "index/kmeans_grouper.h"
 #include "ml/naive_bayes.h"
+#include "util/random.h"
 
 namespace zombie {
 namespace {
@@ -60,6 +63,34 @@ TEST(SessionTest, FullScanRunsEveryRevisionExhaustively) {
     EXPECT_GT(rev.virtual_micros, 0);
   }
   EXPECT_EQ(s.mode, SessionMode::kFullScan);
+}
+
+TEST(SessionTest, FullScanOutcomeMatchesFullCurveBaseline) {
+  // The session scores each full-scan revision's holdout once, after the
+  // loop; every outcome field must still equal the full-curve baseline's.
+  Fixture f;
+  NaiveBayesLearner nb;
+  LabelReward reward;
+  RevisionScript script = ShortScript();
+  const EngineOptions options = f.Options();
+  SessionResult s = RunSession(f.corpus, script, SessionMode::kFullScan,
+                               nullptr, nb, reward, options);
+  ASSERT_EQ(s.revisions.size(), script.size());
+  for (size_t r = 0; r < script.size(); ++r) {
+    SCOPED_TRACE(script.name(r));
+    FeaturePipeline pipeline = script.BuildPipeline(r, f.corpus);
+    EngineOptions opts = options;
+    opts.seed = HashCombine(options.seed, r);
+    ZombieEngine engine(&f.corpus, &pipeline, FullScanOptions(opts));
+    RunResult run = RunRandomBaseline(engine, nb);
+    ASSERT_GT(run.curve.size(), 2u);
+    const RevisionOutcome& rev = s.revisions[r];
+    EXPECT_EQ(rev.revision_name, script.name(r));
+    EXPECT_EQ(rev.items_processed, run.items_processed);
+    EXPECT_EQ(rev.virtual_micros, run.total_virtual_micros());
+    EXPECT_EQ(rev.final_quality, run.final_quality);
+    EXPECT_EQ(rev.stop_reason, run.stop_reason);
+  }
 }
 
 TEST(SessionTest, ZombieSessionChargesIndexOnceAndStopsEarly) {

@@ -175,6 +175,18 @@ TEST(PersistentFeatureStoreTest, WriterInMissingDirectoryReportsIOError) {
       << store.status().ToString();
 }
 
+TEST(PersistentFeatureStoreTest, ReaderInMissingDirectoryReportsIOError) {
+  // The reader role degrades only when a live writer holds the lock; a
+  // lock file that cannot be created is an error, not an empty store.
+  std::string path = testing::TempDir() + "/no_such_dir/store.zfs";
+  PersistentFeatureStoreOptions opts = SmallStore();
+  opts.read_only = true;
+  auto store = PersistentFeatureStore::Open(path, opts);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kIOError)
+      << store.status().ToString();
+}
+
 TEST(PersistentFeatureStoreTest, FingerprintInvalidationDropsOnlyStale) {
   std::string path = StorePath("invalidate.zfs");
   constexpr uint32_t kDocs = 60;
